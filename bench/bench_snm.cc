@@ -78,6 +78,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!best.ok()) {
+    std::fprintf(stderr, "bench_snm: --repeat must be >= 1\n");
+    return 2;
+  }
   uint64_t comparisons = 0;
   for (const PassResult& pass : best->detail.passes) {
     comparisons += pass.comparisons;

@@ -25,7 +25,7 @@ void SignalDrain::Install() {
 
   // Detached: the watcher blocks in sigwait() for the process lifetime;
   // there is nothing to join on a normal exit.
-  std::thread([this] { WatcherLoop(); }).detach();  // lockcheck: allow(detached-thread)
+  std::thread([this] { WatcherLoop(); }).detach();  // deadlockcheck: allow(detached-thread)
 }
 
 void SignalDrain::OnSignal(std::function<void(int)> callback) {

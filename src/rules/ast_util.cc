@@ -251,8 +251,11 @@ std::string PrintBool(const BoolExpr& node, const Subst& subst) {
       }
       return JoinSorted(std::move(parts), '|');
     }
-    case BoolKind::kNot:
-      return "!" + PrintBool(*node.children[0], subst);
+    case BoolKind::kNot: {
+      std::string out = "!";
+      out += PrintBool(*node.children[0], subst);
+      return out;
+    }
     case BoolKind::kCompare:
       return PrintCompare(node, subst);
     case BoolKind::kBare:

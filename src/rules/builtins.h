@@ -56,7 +56,7 @@ struct FuncSignature {
   // the result (the analyzer's symmetry normalization sorts such args).
   bool symmetric = false;
   // Valid when return_type == kNumber.
-  NumericRange range;
+  NumericRange range{};
 };
 
 const std::vector<FuncSignature>& FunctionTable();

@@ -116,12 +116,14 @@ Result<uint16_t> Server::Start() {
   // connection, not kill the process.
   ::signal(SIGPIPE, SIG_IGN);
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
+  // Built in a local and published under conn_mu_ once listening, so a
+  // concurrent RequestDrain never sees a half-set-up socket.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
     return Status::IoError(StringPrintf("socket: %s", strerror(errno)));
   }
   int on = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &on, sizeof(on));
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &on, sizeof(on));
 
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
@@ -129,40 +131,40 @@ Result<uint16_t> Server::Start() {
   addr.sin_port = htons(options_.port);
   if (::inet_pton(AF_INET, options_.bind_address.c_str(),
                   &addr.sin_addr) != 1) {
-    CloseQuietly(listen_fd_);
-    listen_fd_ = -1;
+    CloseQuietly(fd);
     return Status::InvalidArgument("bad bind address '" +
                                    options_.bind_address + "'");
   }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     Status status = Status::IoError(
         StringPrintf("bind %s:%u: %s", options_.bind_address.c_str(),
                      options_.port, strerror(errno)));
-    CloseQuietly(listen_fd_);
-    listen_fd_ = -1;
+    CloseQuietly(fd);
     return status;
   }
-  if (::listen(listen_fd_, 128) != 0) {
+  if (::listen(fd, 128) != 0) {
     Status status =
         Status::IoError(StringPrintf("listen: %s", strerror(errno)));
-    CloseQuietly(listen_fd_);
-    listen_fd_ = -1;
+    CloseQuietly(fd);
     return status;
   }
   socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr),
                     &addr_len) != 0) {
     Status status =
         Status::IoError(StringPrintf("getsockname: %s", strerror(errno)));
-    CloseQuietly(listen_fd_);
-    listen_fd_ = -1;
+    CloseQuietly(fd);
     return status;
   }
   port_ = ntohs(addr.sin_port);
 
+  {
+    MutexLock lock(conn_mu_);
+    listen_fd_ = fd;
+  }
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   MERGEPURGE_LOG(kInfo) << "serving on " << options_.bind_address << ":" << port_
            << " (" << options_.num_workers << " workers, cap "
            << options_.max_connections << " connections)";
@@ -172,10 +174,12 @@ Result<uint16_t> Server::Start() {
 void Server::RequestDrain() {
   bool expected = false;
   if (!draining_.compare_exchange_strong(expected, true)) return;
+  MutexLock lock(conn_mu_);
   // Wake the blocked accept() (Linux returns EINVAL after shutdown).
+  // Under conn_mu_, so Join cannot close the fd (and the number be
+  // reused) between the check and the shutdown.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   // Wake every blocked read; SHUT_RD leaves response writes working.
-  MutexLock lock(conn_mu_);
   for (int fd : open_fds_) ::shutdown(fd, SHUT_RD);
 }
 
@@ -184,23 +188,26 @@ void Server::Join() {
   if (!joined_.compare_exchange_strong(expected, true)) return;
   if (accept_thread_.joinable()) accept_thread_.join();
   if (pool_ != nullptr) pool_->Wait();
-  if (listen_fd_ >= 0) {
-    CloseQuietly(listen_fd_);
-    listen_fd_ = -1;
+  {
+    MutexLock lock(conn_mu_);
+    if (listen_fd_ >= 0) {
+      CloseQuietly(listen_fd_);
+      listen_fd_ = -1;
+    }
   }
   dispatcher_->Drain();
   MERGEPURGE_LOG(kInfo) << "drained: " << connections_accepted_.load()
            << " connections served";
 }
 
-void Server::AcceptLoop() {
+void Server::AcceptLoop(int listen_fd) {
   static Counter* const connections = MetricsRegistry::Global().GetCounter(
       metric_names::kServiceConnections);
   static Counter* const rejected = MetricsRegistry::Global().GetCounter(
       metric_names::kServiceConnectionsRejected);
 
   while (!draining()) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (draining()) break;

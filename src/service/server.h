@@ -134,7 +134,9 @@ class Server {
   const char* StateName() const;
 
  private:
-  void AcceptLoop();
+  // Runs on accept_thread_ until the drain; `listen_fd` stays open until
+  // Join has joined this thread.
+  void AcceptLoop(int listen_fd);
   void HandleConnection(int fd);
   // Parses and dispatches one request line; returns the response line.
   std::string ProcessLine(const std::string& line);
@@ -169,7 +171,6 @@ class Server {
   RequestDispatcher* dispatcher_;
   Schema schema_;
 
-  int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> draining_{false};
   std::atomic<bool> joined_{false};
@@ -178,6 +179,8 @@ class Server {
   std::thread accept_thread_;
 
   Mutex conn_mu_{lockrank::kServerConn};
+  // The listening socket; -1 before Start and after Join closes it.
+  int listen_fd_ MERGEPURGE_GUARDED_BY(conn_mu_) = -1;
   std::set<int> open_fds_ MERGEPURGE_GUARDED_BY(conn_mu_);
   std::atomic<size_t> active_connections_{0};
   std::atomic<uint64_t> connections_accepted_{0};

@@ -124,7 +124,9 @@ std::string Nysiis(std::string_view name) {
   char last = s[0];
   for (size_t i = 1; i < s.size(); ++i) {
     char c = s[i];
-    std::string repl(1, c);
+    // The replacement for c: a literal, or the one character in `own`.
+    char own[2] = {c, '\0'};
+    const char* repl = own;
     if (IsVowel(c)) {
       if (i + 1 < s.size() && c == 'E' && s[i + 1] == 'V') {
         repl = "AF";
@@ -150,13 +152,13 @@ std::string Nysiis(std::string_view name) {
     } else if (c == 'H' &&
                (!IsVowel(last) ||
                 (i + 1 < s.size() && !IsVowel(s[i + 1])))) {
-      repl = std::string(1, last);
+      own[0] = last;
     } else if (c == 'W' && IsVowel(last)) {
-      repl = std::string(1, last);
+      own[0] = last;
     }
-    for (char rc : repl) {
-      if (rc != key.back()) key += rc;
-      last = rc;
+    for (const char* rc = repl; *rc != '\0'; ++rc) {
+      if (*rc != key.back()) key += *rc;
+      last = *rc;
     }
   }
 

@@ -1,4 +1,6 @@
-// The process-wide lock hierarchy, as numbers.
+// The process-wide lock hierarchy, as numbers. This header is the one
+// source of the rank numbers (docs/concurrency.md's table lists the
+// rank symbols in this order, and the checker holds it to this file).
 //
 // Every Mutex/SharedMutex in the codebase is constructed with one of the
 // ranks below; a thread may only acquire a lock whose rank is STRICTLY
@@ -7,10 +9,13 @@
 // LockOrderValidator (util/sync.cc, MERGEPURGE_LOCK_ORDER_CHECKS) aborts
 // the process on any out-of-order acquire.
 //
-// The same hierarchy lives as data in tools/lock_hierarchy.json — the
-// manifest tools/mergepurge_deadlockcheck verifies this header, the
-// source tree, and docs/concurrency.md against. Adding a lock means
-// adding it in all three places; the checker fails CI until they agree.
+// tools/lock_hierarchy.json holds the rest of the hierarchy: each lock's
+// name and rank symbol, the allowed nestings ("order") and the
+// never-nested pairs ("excludes"). tools/mergepurge_deadlockcheck reads
+// the ranks from here and verifies the source tree, the manifest and
+// docs/concurrency.md against them. Adding a lock means a rank here, an
+// entry in the manifest and a row in the docs table; the checker fails
+// CI until they agree.
 //
 // Ranks are spaced by 10 so a new lock can slot between two existing
 // ones without renumbering the world. The coordinator's three leaf
@@ -61,7 +66,7 @@ inline constexpr int kMetricsRegistry = 170; // MetricsRegistry::mu_
 inline constexpr int kLog = 180;             // logging.cc LogMutex()
 
 // Human-readable name for validator abort messages. Returns the rank's
-// lock as declared in tools/lock_hierarchy.json, or "?" for a rank the
+// lock as named in tools/lock_hierarchy.json, or "?" for a rank the
 // hierarchy does not know (which deadlockcheck would reject anyway).
 inline constexpr const char* LockRankName(int rank) {
   switch (rank) {

@@ -9,7 +9,7 @@
 // build when clang is available); under gcc they compile away to nothing
 // and the wrappers are zero-cost forwarding shims over the std types.
 //
-// The companion linter, tools/lockcheck.py, forbids new naked
+// The lint pass of tools/mergepurge_deadlockcheck forbids new naked
 // std::mutex / std::lock_guard / bare .lock()/.unlock() / detached
 // threads outside this header, so the annotated vocabulary stays the
 // only way to synchronize. Conventions, and the process-wide lock
@@ -103,8 +103,8 @@
 #define MERGEPURGE_RETURN_CAPABILITY(x) \
   MERGEPURGE_THREAD_ANNOTATION(lock_returned(x))
 
-// Escape hatch — every use must carry a lockcheck allowlist comment
-// explaining why the analysis cannot see the invariant.
+// Escape hatch — every use must carry a comment explaining why the
+// analysis cannot see the invariant.
 #define MERGEPURGE_NO_THREAD_SAFETY_ANALYSIS \
   MERGEPURGE_THREAD_ANNOTATION(no_thread_safety_analysis)
 

@@ -2,6 +2,6 @@
 namespace mergepurge {
 void StartWatcher() {
   // The watcher exits on the drain signal; it must outlive this scope.
-  std::thread([] {}).detach();  // lockcheck: allow(detached-thread)
+  std::thread([] {}).detach();  // deadlockcheck: allow(detached-thread)
 }
 }  // namespace mergepurge

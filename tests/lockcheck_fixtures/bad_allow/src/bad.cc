@@ -1,4 +1,4 @@
 namespace mergepurge {
-// lockcheck: allow(made-up-id)
+// deadlockcheck: allow(made-up-id)
 int Answer() { return 42; }
 }  // namespace mergepurge

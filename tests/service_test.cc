@@ -836,6 +836,18 @@ TEST_F(ServerTest, StateNameReflectsDrain) {
   server_->Join();
 }
 
+// A drain from another thread (the SIGTERM watcher's path) may run while
+// the owner is already in Join: the listening fd must be handed between
+// them without a race, so Join never closes it under a pending shutdown.
+TEST_F(ServerTest, RequestDrainConcurrentWithJoin) {
+  StartServer();
+  std::thread drainer([this] { server_->RequestDrain(); });
+  server_->Join();
+  drainer.join();
+  EXPECT_TRUE(server_->draining());
+  EXPECT_STREQ(server_->StateName(), "draining");
+}
+
 // Startup recovery runs off-thread: the server binds and answers health
 // ("recovering") immediately, refuses writes with a retryable error, and
 // flips to serving once the replay lands.

@@ -168,7 +168,8 @@ TEST(SortedNeighborhoodTest, FindsPlantedDuplicates) {
   for (int i = 0; i < 50; ++i) {
     Record filler;
     filler.set_field(employee::kSsn, std::to_string(100000000 + i * 37));
-    filler.set_field(employee::kFirstName, "F" + std::to_string(i));
+    filler.set_field(employee::kFirstName,
+                     std::string("F").append(std::to_string(i)));
     filler.set_field(employee::kLastName,
                      std::string(1, 'A' + (i % 26)) + "XLNAME");
     filler.set_field(employee::kAddress, std::to_string(i) + " ELM ST");

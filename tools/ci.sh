@@ -3,9 +3,9 @@
 # AddressSanitizer + UndefinedBehaviorSanitizer, and (concurrency tests
 # only) with ThreadSanitizer — so data races on the retry/speculation
 # paths and lifetime bugs in the checkpoint code surface before merge.
-# Then: a clang -Wthread-safety build (when available), the lockcheck
-# lock-discipline lint, the deadlockcheck whole-program lock-order
-# verifier (clean repo + seeded-inversion rejection), clang-tidy over
+# Then: a clang -Wthread-safety build (when available), deadlockcheck
+# (the lock-discipline lint and the whole-program lock-order verifier:
+# clean repo + seeded-inversion rejection), clang-tidy over
 # src/ (when available), the
 # rulecheck theory lint gate, the observability + service end-to-end
 # contracts, and the latency-regression bench gates.
@@ -50,7 +50,7 @@ run_suite "${root}/build-tsan" \
 # runs the negative-compile fixture (tests/negative_compile/), so this
 # proves both "our annotations are consistent" and "the analysis still
 # rejects an unannotated guarded access". g++-only hosts skip, loudly —
-# the lockcheck linter below still runs everywhere.
+# the deadlockcheck lint pass below still runs everywhere.
 if command -v clang++ >/dev/null 2>&1; then
   run_suite "${root}/build-clang-tsa" "sync_test" \
     -DCMAKE_CXX_COMPILER=clang++ -DMERGEPURGE_THREAD_SAFETY=ON
@@ -58,22 +58,13 @@ else
   echo "=== clang++ not installed; skipping -Wthread-safety build ==="
 fi
 
-# Lock-discipline lint: no naked std::mutex / lock_guard / detached
-# threads outside src/util/sync.h (docs/concurrency.md documents the
-# allowlist syntax). Pure-python, so it runs even without clang.
-if command -v python3 >/dev/null 2>&1; then
-  echo "=== lockcheck ==="
-  python3 "${root}/tools/lockcheck.py" --root="${root}"
-else
-  echo "=== python3 not installed; skipping lockcheck ==="
-fi
-
-# Whole-program lock-order verification (docs/concurrency.md): the
-# repository must be clean under mergepurge_deadlockcheck (manifest,
-# ranks header and docs table all in agreement, no undeclared nesting),
-# and the tool must still REJECT a seeded inversion — the negative
-# control proving the gate checks something. ctest runs the full
-# seeded corpus (deadlockcheck_corpus_*); this is the smoke version.
+# Lock discipline (docs/concurrency.md): the repository must be clean
+# under mergepurge_deadlockcheck (no naked std::mutex / lock_guard /
+# detached threads outside src/util/sync.h; manifest, rank table and
+# docs table in agreement; no undeclared nesting), and the tool must
+# still REJECT a seeded inversion — the negative control proving the
+# gate checks something. ctest runs every seeded case
+# (deadlockcheck_corpus_*, lockcheck_fixture_*); this is the smoke version.
 echo "=== deadlockcheck ==="
 "${root}/build/tools/mergepurge_deadlockcheck" --root="${root}" \
   --manifest="${root}/tools/lock_hierarchy.json"
@@ -81,7 +72,7 @@ inv_status=0
 "${root}/build/tools/mergepurge_deadlockcheck" \
   --root="${root}/tests/deadlockcheck_corpus/rank_inversion" \
   --manifest="${root}/tests/deadlockcheck_corpus/rank_inversion/manifest.json" \
-  --skip-ranks --skip-docs >/dev/null 2>&1 || inv_status=$?
+  --skip-docs >/dev/null 2>&1 || inv_status=$?
 if [ "${inv_status}" -ne 1 ]; then
   echo "ci: deadlockcheck accepted a seeded rank inversion (exit ${inv_status})" >&2
   exit 1

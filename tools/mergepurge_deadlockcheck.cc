@@ -1,15 +1,32 @@
-// mergepurge_deadlockcheck: whole-program static lock-order verification.
+// mergepurge_deadlockcheck: the lock-discipline lint and whole-program
+// static lock-order verification.
 //
-// Reads the machine-readable lock hierarchy (tools/lock_hierarchy.json),
-// scans every .h/.cc under <root>/src, and verifies that the code's
-// statically observable nested lock acquisitions obey the declared
-// hierarchy:
+// Lint pass, over every .h/.hpp/.cc/.cpp under <root>/{src,tools,tests,
+// bench,examples}: outside src/util/sync.h no code may use the raw std
+// synchronization primitives, so everything stays inside the
+// capability-annotated wrappers that clang -Wthread-safety proves (and
+// gcc builds cannot quietly opt out of them):
+//
+//   * "naked-mutex", "naked-lock", "naked-condvar" — std::mutex family,
+//     std::lock_guard/unique_lock/shared_lock/scoped_lock,
+//     std::condition_variable[_any];
+//   * "raw-lock-call" — bare .lock()/.unlock()/.try_lock()/... calls;
+//   * "detached-thread" — .detach() on a thread;
+//   * "sync-include" — including <mutex>, <shared_mutex> or
+//     <condition_variable>;
+//   * "missing-sync-include" — a lock-owning service/introspection
+//     source (kMustIncludeSync) that does not include "util/sync.h",
+//     directly or through its paired same-directory header.
+//
+// Lock-order pass, over every .h/.cc under <root>/src: reads the lock
+// hierarchy manifest (tools/lock_hierarchy.json: names, order edges,
+// excludes) and the rank of each lock from the rank table
+// (src/util/lock_ranks.h), and verifies that the code's statically
+// observable nested lock acquisitions obey them:
 //
 //   * every Mutex/SharedMutex declaration carries a lockrank:: rank and
 //     appears in the manifest (and vice versa) — "unranked-mutex",
 //     "unknown-rank-symbol", "missing-declaration";
-//   * src/util/lock_ranks.h agrees with the manifest's rank numbers —
-//     "ranks-header-mismatch";
 //   * every nested acquisition (directly, or transitively through the
 //     static call graph) is rank-increasing and listed in the manifest's
 //     "order" edges — "rank-inversion", "undeclared-edge";
@@ -18,20 +35,22 @@
 //     MERGEPURGE_EXCLUDES(m) are never reached with m held —
 //     "excludes-annotation-violation";
 //   * the union of manifest and observed edges is acyclic — "cycle";
-//   * docs/concurrency.md documents every lock with its rank —
-//     "doc-mismatch".
+//   * docs/concurrency.md documents every lock with its rank symbol,
+//     outer to inner — "doc-mismatch".
 //
-// The scanner is a heuristic single-pass C++ reader (comments/strings
-// stripped, chunked at ;{}, scope stack for namespace/class/function),
-// not a compiler. Its known blind spots — std::function and lambda
+// Both passes read sources through Normalize (comments and literals
+// blanked). The lock-order scanner is a heuristic single-pass C++ reader
+// (chunked at ;{}, scope stack for namespace/class/function), not a
+// compiler. Its known blind spots — std::function and lambda
 // indirection across threads, destructor-time acquisitions, callback
 // bodies attributed to their defining function — are exactly what the
 // runtime LockOrderValidator in src/util/sync.h covers in sanitizer
 // builds. The two checks are designed as a pair.
 //
-// Suppression: a line (or the line above) may carry
-//   // deadlockcheck: allow(<finding-id>)
-// to waive one finding id at that site, mirroring lockcheck.py.
+// Suppression: a line (or the line above) may carry the marker
+// "deadlockcheck: allow(" + a comma-separated list of finding ids + ")"
+// in a comment to waive those ids at that site; a marker naming an
+// unknown id is itself a "bad-allow" finding.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage error.
 
@@ -140,7 +159,11 @@ struct ManifestData {
   std::map<std::string, std::string> scoped_lock;
 };
 
-bool ParseManifest(const std::string& path, ManifestData* mf,
+// `ranks` maps each rank symbol to its value in `ranks_path` (the rank
+// table, src/util/lock_ranks.h); the manifest itself carries no numbers.
+bool ParseManifest(const std::string& path,
+                   const std::map<std::string, int>& ranks,
+                   const std::string& ranks_path, ManifestData* mf,
                    std::vector<Finding>* findings) {
   auto text = ReadFileToString(path);
   if (!text) {
@@ -166,16 +189,23 @@ bool ParseManifest(const std::string& path, ManifestData* mf,
     if (const JsonValue* v = entry.Find("name")) def.name = v->string_value();
     if (const JsonValue* v = entry.Find("rank_symbol"))
       def.rank_symbol = v->string_value();
-    if (const JsonValue* v = entry.Find("rank"))
-      def.rank = static_cast<int>(v->int_value());
     if (const JsonValue* v = entry.Find("kind"))
       def.shared = v->string_value() == "shared";
-    if (def.name.empty() || def.rank_symbol.empty() || def.rank < 0) {
+    if (def.name.empty() || def.rank_symbol.empty()) {
       findings->push_back({path, 1, "bad-manifest-edge",
-                           "lock entry missing name/rank_symbol/rank: '" +
+                           "lock entry missing name/rank_symbol: '" +
                                def.name + "'"});
       continue;
     }
+    auto rank = ranks.find(def.rank_symbol);
+    if (rank == ranks.end() || rank->second < 0) {
+      findings->push_back({path, 1, "unknown-rank-symbol",
+                           "lock '" + def.name + "': lockrank::" +
+                               def.rank_symbol + " has no rank in " +
+                               ranks_path});
+      continue;
+    }
+    def.rank = rank->second;
     if (mf->rank_by_name.count(def.name) != 0 ||
         mf->name_by_symbol.count(def.rank_symbol) != 0) {
       findings->push_back({path, 1, "duplicate-rank-symbol",
@@ -292,7 +322,6 @@ struct Frame {
   std::string cls;    // class path for member resolution
   size_t depth = 0;   // scope-stack size at function open
   std::vector<HeldEntry> held;
-  bool analyzed = true;  // false for bodies we deliberately skip
 };
 
 struct Scope {
@@ -315,7 +344,6 @@ class Checker {
  public:
   ManifestData mf;
   std::vector<Finding> findings;
-  bool list_edges = false;
 
   // file -> line -> allowed finding ids.
   std::map<std::string, std::map<int, std::set<std::string>>> allows;
@@ -443,12 +471,21 @@ class Checker {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Normalization: comments, string/char literals and preprocessor lines are
-// blanked (newlines kept so line numbers survive); [[...]] attributes are
-// erased; `{lockrank::kX}` brace-initializers become `(lockrank::kX)` so
-// the chunker below does not mistake them for scopes. Length-preserving.
+// Suppression markers, read from the raw text (they live in comments).
 
-const std::regex kAllowRe(R"(deadlockcheck:\s*allow\(([a-z-]+)\))");
+// Every finding id either pass reports; an allow marker naming anything
+// else is a "bad-allow".
+const std::set<std::string> kFindingIds = {
+    "naked-mutex", "naked-lock", "naked-condvar", "raw-lock-call",
+    "detached-thread", "sync-include", "missing-sync-include", "bad-allow",
+    "unranked-mutex", "unknown-rank-symbol", "missing-declaration",
+    "duplicate-rank-symbol", "bad-manifest-edge", "unresolved-lock",
+    "rank-inversion", "undeclared-edge", "excludes-violation",
+    "excludes-annotation-violation", "cycle", "doc-mismatch"};
+
+const std::regex kAllowRe(
+    R"(deadlockcheck:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\))");
+const std::regex kAllowIdRe(R"([a-z-]+)");
 
 void CollectAllows(Checker& ck, const std::string& file,
                    const std::string& text) {
@@ -459,13 +496,32 @@ void CollectAllows(Checker& ck, const std::string& file,
     if (end == std::string::npos) end = text.size();
     const std::string l = text.substr(start, end - start);
     std::smatch m;
-    if (std::regex_search(l, m, kAllowRe)) ck.allows[file][line].insert(m[1]);
+    if (std::regex_search(l, m, kAllowRe)) {
+      const std::string list = m[1];
+      for (auto it = std::sregex_iterator(list.begin(), list.end(),
+                                          kAllowIdRe);
+           it != std::sregex_iterator(); ++it) {
+        const std::string id = it->str();
+        ck.allows[file][line].insert(id);
+        if (kFindingIds.count(id) == 0)
+          ck.Report(file, line, "bad-allow",
+                    "unknown finding id '" + id + "'");
+      }
+    }
     start = end + 1;
     ++line;
   }
 }
 
-std::string Normalize(const std::string& in) {
+// ---------------------------------------------------------------------------
+// Normalization: comments and string/char literals are blanked (newlines
+// kept so line numbers survive), and so are preprocessor lines unless
+// `keep_directives`; [[...]] attributes are erased; `{lockrank::kX}`
+// brace-initializers become `(lockrank::kX)` so the chunker below does
+// not mistake them for scopes. Length-preserving.
+
+std::string Normalize(const std::string& in,
+                      bool keep_directives = false) {
   std::string out = in;
   enum { kCode, kLine, kBlock, kStr, kChar, kRaw } st = kCode;
   std::string raw_delim;
@@ -491,7 +547,7 @@ std::string Normalize(const std::string& in) {
           out[i] = ' ';
         }
         else if (c == '\'') { st = kChar; out[i] = ' '; }
-        else if (c == '#' &&
+        else if (c == '#' && !keep_directives &&
                  (i == 0 || out[i - 1] == '\n')) { st = kLine; out[i] = ' '; }
         break;
       case kLine:
@@ -549,6 +605,116 @@ std::string Normalize(const std::string& in) {
     out[pos + len - 1] = ')';
   }
   return out;
+}
+
+// Rank values by symbol: every `kName = <int>` constant in the rank
+// table's code (comments blanked). Empty when the file is unreadable.
+std::map<std::string, int> ReadRanks(const std::string& path) {
+  std::map<std::string, int> ranks;
+  auto text = ReadFileToString(path);
+  if (!text) return ranks;
+  static const std::regex kRankDef(R"(\b(k\w+)\s*=\s*(-?\d+))");
+  const std::string code = Normalize(*text);
+  for (auto it = std::sregex_iterator(code.begin(), code.end(), kRankDef);
+       it != std::sregex_iterator(); ++it)
+    ranks[(*it)[1]] = std::stoi((*it)[2]);
+  return ranks;
+}
+
+// ---------------------------------------------------------------------------
+// Lint pass.
+
+struct LintRule {
+  const char* id;
+  std::regex pattern;
+  const char* msg;
+};
+
+const LintRule kLintRules[] = {
+    {"naked-mutex",
+     std::regex(
+         R"(\bstd::(recursive_|timed_|shared_|shared_timed_)?mutex\b)"),
+     "raw std::mutex family; use mergepurge::Mutex/SharedMutex "
+     "(util/sync.h)"},
+    {"naked-lock",
+     std::regex(
+         R"(\bstd::(lock_guard|unique_lock|shared_lock|scoped_lock)\b)"),
+     "raw std lock scope; use MutexLock/ReaderLock/WriterLock "
+     "(util/sync.h)"},
+    {"naked-condvar", std::regex(R"(\bstd::condition_variable(_any)?\b)"),
+     "raw std::condition_variable; use mergepurge::CondVar (util/sync.h)"},
+    {"raw-lock-call",
+     std::regex(
+         R"(\.\s*(lock|unlock|try_lock|lock_shared|unlock_shared)\s*\(\s*\))"),
+     "bare .lock()/.unlock() call; use the scoped types or the annotated "
+     "Lock()/Unlock() members"},
+    {"detached-thread", std::regex(R"(\.\s*detach\s*\(\s*\))"),
+     "detached thread; join it, or allow it with a comment saying why it "
+     "must outlive its owner"},
+    {"sync-include",
+     std::regex(
+         R"(#\s*include\s*<(mutex|shared_mutex|condition_variable)>)"),
+     "raw sync header; include \"util/sync.h\" instead"},
+};
+
+// `code` is Normalize(text, /*keep_directives=*/true).
+void LintFile(Checker& ck, const std::string& file, const std::string& code) {
+  int line = 1;
+  for (size_t start = 0; start < code.size(); ++line) {
+    size_t end = code.find('\n', start);
+    if (end == std::string::npos) end = code.size();
+    const std::string l = code.substr(start, end - start);
+    for (const LintRule& rule : kLintRules) {
+      if (std::regex_search(l, rule.pattern))
+        ck.Report(file, line, rule.id, rule.msg);
+    }
+    start = end + 1;
+  }
+}
+
+// Lock-owning service and introspection sources that must stay inside the
+// annotated sync vocabulary: each includes util/sync.h, directly or (a .cc)
+// through its paired same-directory header.
+const char* const kMustIncludeSync[] = {
+    "src/service/wal.h",           "src/service/wal.cc",
+    "src/service/snapshot.h",      "src/service/snapshot.cc",
+    "src/service/match_service.h", "src/service/match_service.cc",
+    "src/service/server.h",        "src/service/server.cc",
+    "src/obs/window.h",            "src/obs/window.cc",
+    "src/shard/coordinator.h",     "src/shard/coordinator.cc"};
+
+// True if `rel` includes util/sync.h directly, or through a project
+// include that resolves into its own directory (wal.cc -> service/wal.h).
+bool IncludesSync(const std::string& root, const std::string& rel,
+                  std::set<std::string>* seen) {
+  if (!seen->insert(rel).second) return false;
+  auto text = ReadFileToString(root + "/" + rel);
+  if (!text) return false;
+  static const std::regex kInclude(R"re(#\s*include\s*"([^"]+)")re");
+  const std::string dir = fs::path(rel).parent_path().generic_string();
+  for (auto it = std::sregex_iterator(text->begin(), text->end(), kInclude);
+       it != std::sregex_iterator(); ++it) {
+    const std::string included = (*it)[1];
+    if (included == "util/sync.h") return true;
+    const std::string candidate = "src/" + included;
+    if (fs::path(candidate).parent_path().generic_string() == dir &&
+        IncludesSync(root, candidate, seen))
+      return true;
+  }
+  return false;
+}
+
+void CheckSyncIncludes(Checker& ck, const std::string& root) {
+  for (const char* rel : kMustIncludeSync) {
+    std::error_code ec;
+    if (!fs::is_regular_file(fs::path(root) / rel, ec)) continue;
+    std::set<std::string> seen;
+    if (!IncludesSync(root, rel, &seen)) {
+      ck.Report(rel, 1, "missing-sync-include",
+                "lock-owning source must include \"util/sync.h\" (directly "
+                "or via its paired header)");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1323,59 +1489,32 @@ void CheckCycles(Checker& ck, const std::string& manifest_path) {
   }
 }
 
-void CheckRanksHeader(Checker& ck, const std::string& path) {
-  auto text = ReadFileToString(path);
-  if (!text) {
-    ck.Report(path, 1, "ranks-header-mismatch", "cannot read ranks header");
-    return;
-  }
-  for (const LockDef& def : ck.mf.locks) {
-    std::smatch m;
-    const std::regex re("\\b" + def.rank_symbol + "\\s*=\\s*(-?\\d+)");
-    if (!std::regex_search(*text, m, re)) {
-      ck.Report(path, 1, "ranks-header-mismatch",
-                def.rank_symbol + " is in the manifest but not defined in " +
-                    path);
-      continue;
-    }
-    const int value = std::atoi(m[1].str().c_str());
-    if (value != def.rank) {
-      ck.Report(path, 1, "ranks-header-mismatch",
-                def.rank_symbol + " = " + std::to_string(value) +
-                    " in the header but rank " + std::to_string(def.rank) +
-                    " in the manifest");
-    }
-  }
-}
-
 void CheckDocs(Checker& ck, const std::string& path) {
   auto text = ReadFileToString(path);
   if (!text) {
     ck.Report(path, 1, "doc-mismatch", "cannot read " + path);
     return;
   }
-  std::vector<std::string> lines;
-  std::istringstream in(*text);
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
+  // Each lock has a row "| `<rank symbol>` | `<name>`", outer to inner.
+  std::vector<std::pair<int, size_t>> rows;  // rank, offset of the row
   for (const LockDef& def : ck.mf.locks) {
-    const std::regex rank_re("(^|[^0-9.])" + std::to_string(def.rank) +
-                             "([^0-9.]|$)");
-    bool found = false;
-    for (const std::string& l : lines) {
-      std::smatch m;
-      if (l.find(def.name) != std::string::npos &&
-          std::regex_search(l, m, rank_re)) {
-        found = true;
-        break;
-      }
+    const size_t at =
+        text->find("| `" + def.rank_symbol + "` | `" + def.name + "`");
+    if (at != std::string::npos) {
+      rows.emplace_back(def.rank, at);
+      continue;
     }
-    if (!found) {
-      ck.Report(path, 1, "doc-mismatch",
-                "lock '" + def.name + "' (rank " + std::to_string(def.rank) +
-                    ") is not documented with its rank; regenerate the "
-                    "hierarchy table from tools/lock_hierarchy.json");
-    }
+    ck.Report(path, 1, "doc-mismatch",
+              "lock '" + def.name + "' has no hierarchy table row naming "
+              "its rank symbol " + def.rank_symbol);
+  }
+  std::sort(rows.begin(), rows.end());
+  for (size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i].second > rows[i - 1].second) continue;  // ties: by offset
+    const auto row = text->begin() + rows[i].second;
+    ck.Report(path, 1 + static_cast<int>(std::count(text->begin(), row, '\n')),
+              "doc-mismatch",
+              "hierarchy table rows are not in rank order (outer first)");
   }
 }
 
@@ -1386,13 +1525,13 @@ int Usage() {
       stderr,
       "usage: mergepurge_deadlockcheck --root=DIR [options]\n"
       "\n"
-      "Static lock-order verification against the lock-hierarchy manifest.\n"
+      "Lock-discipline lint over DIR/{src,tools,tests,bench,examples} and\n"
+      "static lock-order verification of DIR/src against the lock\n"
+      "hierarchy manifest, with ranks from DIR/src/util/lock_ranks.h.\n"
       "\n"
-      "  --root=DIR        repository root; DIR/src is scanned\n"
+      "  --root=DIR        repository root\n"
       "  --manifest=PATH   hierarchy manifest (default ROOT/tools/lock_hierarchy.json)\n"
-      "  --ranks=PATH      rank header (default ROOT/src/util/lock_ranks.h)\n"
       "  --docs=PATH       docs file (default ROOT/docs/concurrency.md)\n"
-      "  --skip-ranks      skip the rank-header agreement check\n"
       "  --skip-docs       skip the documentation check\n"
       "  --list-edges      print every observed nested acquisition\n"
       "\n"
@@ -1403,8 +1542,8 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string root, manifest, ranks, docs;
-  bool skip_ranks = false, skip_docs = false, list_edges = false;
+  std::string root, manifest, docs;
+  bool skip_docs = false, list_edges = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg](const char* name) -> std::optional<std::string> {
@@ -1414,9 +1553,7 @@ int main(int argc, char** argv) {
     };
     if (auto v = value("--root")) root = *v;
     else if (auto v = value("--manifest")) manifest = *v;
-    else if (auto v = value("--ranks")) ranks = *v;
     else if (auto v = value("--docs")) docs = *v;
-    else if (arg == "--skip-ranks") skip_ranks = true;
     else if (arg == "--skip-docs") skip_docs = true;
     else if (arg == "--list-edges") list_edges = true;
     else if (arg == "--help" || arg == "-h") { Usage(); return 0; }
@@ -1431,12 +1568,13 @@ int main(int argc, char** argv) {
     return Usage();
   }
   if (manifest.empty()) manifest = root + "/tools/lock_hierarchy.json";
-  if (ranks.empty()) ranks = root + "/src/util/lock_ranks.h";
   if (docs.empty()) docs = root + "/docs/concurrency.md";
+  const std::string ranks = root + "/src/util/lock_ranks.h";
 
   Checker ck;
-  ck.list_edges = list_edges;
-  if (!ParseManifest(manifest, &ck.mf, &ck.findings)) return 2;
+  if (!ParseManifest(manifest, ReadRanks(ranks), ranks, &ck.mf,
+                     &ck.findings))
+    return 2;
 
   // Scoped RAII types: the sync.h vocabulary plus the manifest's own.
   std::string scoped_pattern = "\\b(MutexLock|WriterLock|ReaderLock";
@@ -1445,41 +1583,47 @@ int main(int argc, char** argv) {
   scoped_pattern += ")\\s+(\\w+)\\s*\\(";
   const std::regex scoped_re(scoped_pattern);
 
-  const fs::path src_dir = fs::path(root) / "src";
   std::error_code ec;
-  if (!fs::is_directory(src_dir, ec)) {
-    std::fprintf(stderr, "deadlockcheck: %s is not a directory\n",
-                 src_dir.string().c_str());
+  if (!fs::is_directory(fs::path(root) / "src", ec)) {
+    std::fprintf(stderr, "deadlockcheck: %s/src is not a directory\n",
+                 root.c_str());
     return 2;
   }
-  // sync.h/.cc implement the lock vocabulary itself; lock_ranks.h is the
-  // rank table. Scanning them would self-report the primitives.
-  const std::vector<std::string> exempt = {"util/sync.h", "util/sync.cc",
-                                           "util/lock_ranks.h"};
-  std::vector<std::pair<std::string, std::string>> files;  // rel, normalized
-  std::vector<std::string> paths;
-  for (const auto& entry : fs::recursive_directory_iterator(src_dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (ext != ".h" && ext != ".cc") continue;
-    paths.push_back(entry.path().string());
+  std::vector<std::string> paths;  // root-relative
+  for (const char* dir : {"src", "tools", "tests", "bench", "examples"}) {
+    const fs::path top = fs::path(root) / dir;
+    if (!fs::is_directory(top, ec)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(top)) {
+      const std::string ext = entry.path().extension().string();
+      if (!entry.is_regular_file() ||
+          (ext != ".h" && ext != ".hpp" && ext != ".cc" && ext != ".cpp"))
+        continue;
+      paths.push_back(
+          fs::relative(entry.path(), fs::path(root), ec).generic_string());
+    }
   }
   std::sort(paths.begin(), paths.end());
-  for (const std::string& path : paths) {
-    const std::string rel =
-        fs::relative(path, fs::path(root), ec).generic_string();
-    bool skip = false;
-    for (const std::string& e : exempt) {
-      if (rel.size() >= e.size() &&
-          rel.compare(rel.size() - e.size(), e.size(), e) == 0)
-        skip = true;
-    }
-    if (skip) continue;
-    auto text = ReadFileToString(path);
+
+  // sync.h implements the lock vocabulary itself, and the lint fixtures
+  // violate it on purpose (each is checked as its own root). The
+  // lock-order pass also skips sync.cc and the rank table.
+  const std::set<std::string> order_exempt = {
+      "src/util/sync.cc", "src/util/lock_ranks.h"};
+  std::vector<std::pair<std::string, std::string>> files;  // rel, normalized
+  for (const std::string& rel : paths) {
+    if (rel == "src/util/sync.h" ||
+        rel.rfind("tests/lockcheck_fixtures/", 0) == 0)
+      continue;
+    auto text = ReadFileToString(root + "/" + rel);
     if (!text) continue;
     CollectAllows(ck, rel, *text);
-    files.emplace_back(rel, Normalize(*text));
+    LintFile(ck, rel, Normalize(*text, /*keep_directives=*/true));
+    const std::string ext = fs::path(rel).extension().string();
+    if (rel.rfind("src/", 0) == 0 && (ext == ".h" || ext == ".cc") &&
+        order_exempt.count(rel) == 0)
+      files.emplace_back(rel, Normalize(*text));
   }
+  CheckSyncIncludes(ck, root);
 
   for (const auto& [rel, text] : files)
     FileScanner(ck, rel, text, /*pass=*/1, scoped_re).Run();
@@ -1491,9 +1635,7 @@ int main(int argc, char** argv) {
   ComputeTransitiveAcquires(ck);
   CheckEvents(ck);
   CheckCycles(ck, manifest);
-  if (!skip_ranks) CheckRanksHeader(ck, ranks);
   if (!skip_docs) CheckDocs(ck, docs);
-
   if (list_edges) {
     for (const auto& [edge, site] : ck.observed) {
       std::printf("%s -> %s  [%s]\n", edge.first.c_str(),
