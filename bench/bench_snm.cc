@@ -1,14 +1,19 @@
 // bench_snm — the tracked SNM throughput benchmark. Runs the full
 // multi-pass sorted-neighborhood pipeline (three standard keys + closure)
 // over a generated database and writes BENCH_snm.json through RunReport,
-// so every PR leaves a comparable machine-readable perf point
-// (records/s, comparisons/s, per-pass timings, full metrics snapshot).
+// so every change leaves a comparable machine-readable perf point
+// (records/s, comparisons/s, per-pass timings, full metrics snapshot),
+// with the accuracy that speed was bought at (recall and false positives
+// against the generator's truth) and the theory's distance calls per
+// comparison.
 //
 //   bench_snm [--records=20000] [--window=10] [--repeat=3] [--seed=42]
 //             [--out=BENCH_snm.json]
 //
 // The report's "bench" config block carries the best-of-repeat wall time
-// and derived throughput; passes/closure/counters come from the best run.
+// and derived throughput, recall_pct, false_positive_pct and
+// rules.distance_calls_per_comparison; passes/closure/counters come from
+// the best run.
 
 #include <cstdio>
 #include <string>
@@ -16,8 +21,10 @@
 
 #include "core/merge_purge.h"
 #include "eval/experiment.h"
+#include "eval/metrics.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
+#include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "rules/employee_theory.h"
@@ -58,13 +65,19 @@ int main(int argc, char** argv) {
   MergePurgeEngine engine(options);
   EmployeeTheory theory;
 
+  Counter* const distance_calls =
+      MetricsRegistry::Global().GetCounter(metric_names::kRulesDistanceCalls);
+
   // Best-of-repeat: the minimum is the least-noisy throughput estimate.
   double best_seconds = 0.0;
+  uint64_t best_distance_calls = 0;
   Result<MergePurgeResult> best = Status::NotFound("no run");
   for (int r = 0; r < repeat; ++r) {
+    const uint64_t calls_before = distance_calls->Value();
     Timer timer;
     Result<MergePurgeResult> result = engine.Run(dataset, theory);
     const double seconds = timer.ElapsedSeconds();
+    const uint64_t calls = distance_calls->Value() - calls_before;
     if (!result.ok()) {
       std::fprintf(stderr, "bench_snm: %s\n",
                    result.status().ToString().c_str());
@@ -74,6 +87,7 @@ int main(int argc, char** argv) {
                  seconds, result->num_entities);
     if (!best.ok() || seconds < best_seconds) {
       best_seconds = seconds;
+      best_distance_calls = calls;
       best = std::move(result);
     }
   }
@@ -92,6 +106,12 @@ int main(int argc, char** argv) {
   const double comparisons_per_s =
       best_seconds > 0 ? static_cast<double>(comparisons) / best_seconds
                        : 0.0;
+  const double distance_calls_per_comparison =
+      comparisons > 0 ? static_cast<double>(best_distance_calls) /
+                            static_cast<double>(comparisons)
+                      : 0.0;
+  const AccuracyReport accuracy =
+      EvaluateComponents(best->component_of, generated->truth);
 
   RunReport report("bench_snm");
   report.SetConfig("records", JsonValue(static_cast<uint64_t>(records)));
@@ -101,6 +121,11 @@ int main(int argc, char** argv) {
   report.SetConfig("best_seconds", JsonValue(best_seconds));
   report.SetConfig("records_per_second", JsonValue(records_per_s));
   report.SetConfig("comparisons_per_second", JsonValue(comparisons_per_s));
+  report.SetConfig("recall_pct", JsonValue(accuracy.recall_percent));
+  report.SetConfig("false_positive_pct",
+                   JsonValue(accuracy.false_positive_percent));
+  report.SetConfig("rules.distance_calls_per_comparison",
+                   JsonValue(distance_calls_per_comparison));
   report.SetDataset(dataset.size(), dataset.schema().num_fields());
   report.SetMultiPass(best->detail);
   report.SetOutcome(true);
@@ -112,8 +137,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf("snm multi-pass: %zu records, window %zu: best %.3fs "
-              "(%.0f records/s, %.0f comparisons/s) -> %s\n",
+              "(%.0f records/s, %.0f comparisons/s, recall %.2f%%, "
+              "false positives %.2f%%, %.3f distance calls/comparison) "
+              "-> %s\n",
               dataset.size(), window, best_seconds, records_per_s,
-              comparisons_per_s, out.c_str());
+              comparisons_per_s, accuracy.recall_percent,
+              accuracy.false_positive_percent, distance_calls_per_comparison,
+              out.c_str());
   return 0;
 }

@@ -127,9 +127,7 @@ Value EvalBuiltin(FuncId func, ValueType return_type,
       return out;
     }
     case FuncId::kTransposed:
-      out.b = !args[0].s.empty() && args[0].s != args[1].s &&
-              DamerauDistance(args[0].s, args[1].s) == 1 &&
-              EditDistance(args[0].s, args[1].s) == 2;
+      out.b = IsSingleTransposition(args[0].s, args[1].s);
       return out;
     case FuncId::kEmpty:
       out.b = args[0].s.empty();

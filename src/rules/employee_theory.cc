@@ -189,10 +189,7 @@ class PairContext {
     return *ssn_close_;
   }
   bool SsnTransposed() const {
-    std::string_view x = f1(employee::kSsn);
-    std::string_view y = f2(employee::kSsn);
-    return !x.empty() && x != y && x.size() == y.size() &&
-           DamerauDistance(x, y) == 1 && EditDistance(x, y) == 2;
+    return IsSingleTransposition(f1(employee::kSsn), f2(employee::kSsn));
   }
   // SSNs do not contradict each other: equal, close, or one missing.
   bool SsnCompatible() const {
@@ -266,16 +263,12 @@ class PairContext {
   }
 
   bool LastTransposed() const {
-    std::string_view x = f1(employee::kLastName);
-    std::string_view y = f2(employee::kLastName);
-    return !x.empty() && x != y && DamerauDistance(x, y) == 1 &&
-           EditDistance(x, y) == 2;
+    return IsSingleTransposition(f1(employee::kLastName),
+                                 f2(employee::kLastName));
   }
   bool FirstTransposed() const {
-    std::string_view x = f1(employee::kFirstName);
-    std::string_view y = f2(employee::kFirstName);
-    return !x.empty() && x != y && DamerauDistance(x, y) == 1 &&
-           EditDistance(x, y) == 2;
+    return IsSingleTransposition(f1(employee::kFirstName),
+                                 f2(employee::kFirstName));
   }
 
   bool NamesSoundAlike() const {

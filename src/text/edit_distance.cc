@@ -1,7 +1,7 @@
 #include "text/edit_distance.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <vector>
 
 namespace mergepurge {
@@ -10,70 +10,62 @@ namespace {
 
 inline int Min3(int a, int b, int c) { return std::min(a, std::min(b, c)); }
 
-}  // namespace
+// Longest pattern the bit-parallel kernel holds: one bit per byte.
+constexpr size_t kWordBits = 64;
 
-int EditDistance(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  const size_t n = a.size();
-  const size_t m = b.size();
-  if (n == 0) return static_cast<int>(m);
-
-  // Single rolling row over the shorter string.
-  std::vector<int> row(n + 1);
-  for (size_t j = 0; j <= n; ++j) row[j] = static_cast<int>(j);
-  for (size_t i = 1; i <= m; ++i) {
-    int diag = row[0];
-    row[0] = static_cast<int>(i);
-    for (size_t j = 1; j <= n; ++j) {
-      int next_diag = row[j];
-      int cost = (a[j - 1] == b[i - 1]) ? 0 : 1;
-      row[j] = Min3(row[j] + 1, row[j - 1] + 1, diag + cost);
-      diag = next_diag;
-    }
+// Exact distance for 1 <= |pattern| <= 64 and any text, one word step per
+// text byte: Myers (JACM 1999) for Levenshtein, plus Hyyro's (2003)
+// transposition term for OSA Damerau. Bit i describes DP row i+1 of the
+// current column: vp/vn are its +1/-1 vertical deltas and d0 marks the
+// cells whose diagonal delta is zero. Bits above the pattern only ever
+// receive carries and left shifts from below, so they never reach the
+// bit that is read.
+template <bool kTranspositions>
+int BitParallelDistance(std::string_view pattern, std::string_view text) {
+  // peq[c] has bit i set when pattern[i] == c. Only bytes occurring in
+  // either string are ever read, so only those entries are cleared.
+  uint64_t peq[256];
+  for (unsigned char c : text) peq[c] = 0;
+  for (unsigned char c : pattern) peq[c] = 0;
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    peq[static_cast<unsigned char>(pattern[i])] |= uint64_t{1} << i;
   }
-  return row[n];
+
+  const uint64_t last = uint64_t{1} << (pattern.size() - 1);
+  uint64_t vp = ~uint64_t{0};
+  uint64_t vn = 0;
+  uint64_t d0 = 0;
+  uint64_t prev_eq = 0;
+  int score = static_cast<int>(pattern.size());
+  for (unsigned char c : text) {
+    const uint64_t eq = peq[c];
+    uint64_t tr = 0;
+    if constexpr (kTranspositions) {
+      // pattern[i] == previous text byte, pattern[i-1] == this byte, and
+      // the diagonal delta one row up in the previous column was not zero.
+      tr = ((~d0 & eq) << 1) & prev_eq;
+      prev_eq = eq;
+    }
+    d0 = (((eq & vp) + vp) ^ vp) | eq | vn | tr;
+    uint64_t hp = vn | ~(d0 | vp);
+    const uint64_t hn = vp & d0;
+    score += (hp & last) != 0;
+    score -= (hn & last) != 0;
+    hp = (hp << 1) | 1;  // row 0 grows by one per text byte
+    vp = (hn << 1) | ~(d0 | hp);
+    vn = hp & d0;
+  }
+  return score;
 }
 
-int DamerauDistance(std::string_view a, std::string_view b) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  if (n == 0) return static_cast<int>(m);
-  if (m == 0) return static_cast<int>(n);
-
-  // Three rolling rows (need i-2 for the transposition case).
-  std::vector<int> prev2(m + 1), prev(m + 1), curr(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<int>(j);
-  for (size_t i = 1; i <= n; ++i) {
-    curr[0] = static_cast<int>(i);
-    for (size_t j = 1; j <= m; ++j) {
-      int cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      curr[j] = Min3(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost);
-      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
-        curr[j] = std::min(curr[j], prev2[j - 2] + 1);
-      }
-    }
-    std::swap(prev2, prev);
-    std::swap(prev, curr);
-  }
-  return prev[m];
-}
-
-namespace {
-
-// Shared bounded DP. If with_transpositions is true, computes OSA Damerau.
-// Values are clamped at kInf = max_distance + 1 and the computation aborts
-// as soon as an entire row exceeds the bound. Strings in this domain are
-// short (names, street lines), so full rows are cheap; the early exit is
-// what matters during window scanning.
-int BoundedDistanceImpl(std::string_view a, std::string_view b,
-                        int max_distance, bool with_transpositions) {
-  if (max_distance < 0) return 0;
+// Full-matrix DP fallback for strings over 64 bytes. If
+// with_transpositions is true, computes OSA Damerau. Values are clamped at
+// kInf = max_distance + 1 and the computation aborts as soon as an entire
+// row exceeds the bound.
+int DpDistance(std::string_view a, std::string_view b, int max_distance,
+               bool with_transpositions) {
   const int n = static_cast<int>(a.size());
   const int m = static_cast<int>(b.size());
-  if (std::abs(n - m) > max_distance) return max_distance + 1;
-  if (n == 0) return m;
-  if (m == 0) return n;
-
   const int kInf = max_distance + 1;
   std::vector<int> prev2(static_cast<size_t>(m) + 1, kInf);
   std::vector<int> prev(static_cast<size_t>(m) + 1, kInf);
@@ -100,16 +92,56 @@ int BoundedDistanceImpl(std::string_view a, std::string_view b,
   return prev[m];
 }
 
+// min(exact distance, max_distance + 1) for max_distance >= 0. Both
+// distances are symmetric, so the shorter string is the pattern.
+int ClampedDistance(std::string_view a, std::string_view b, int max_distance,
+                    bool with_transpositions) {
+  if (a.size() > b.size()) std::swap(a, b);
+  if (b.size() - a.size() > static_cast<size_t>(max_distance)) {
+    return max_distance + 1;
+  }
+  if (a.empty()) return static_cast<int>(b.size());
+  if (a.size() > kWordBits) {
+    return DpDistance(a, b, max_distance, with_transpositions);
+  }
+  const int d = with_transpositions ? BitParallelDistance<true>(a, b)
+                                    : BitParallelDistance<false>(a, b);
+  return std::min(d, max_distance + 1);
+}
+
+int Longest(std::string_view a, std::string_view b) {
+  return static_cast<int>(std::max(a.size(), b.size()));
+}
+
 }  // namespace
+
+int EditDistance(std::string_view a, std::string_view b) {
+  return ClampedDistance(a, b, Longest(a, b), /*with_transpositions=*/false);
+}
+
+int DamerauDistance(std::string_view a, std::string_view b) {
+  return ClampedDistance(a, b, Longest(a, b), /*with_transpositions=*/true);
+}
 
 int BoundedEditDistance(std::string_view a, std::string_view b,
                         int max_distance) {
-  return BoundedDistanceImpl(a, b, max_distance, /*with_transpositions=*/false);
+  if (max_distance < 0) return 0;
+  return ClampedDistance(a, b, max_distance, /*with_transpositions=*/false);
 }
 
 int BoundedDamerauDistance(std::string_view a, std::string_view b,
                            int max_distance) {
-  return BoundedDistanceImpl(a, b, max_distance, /*with_transpositions=*/true);
+  if (max_distance < 0) return 0;
+  return ClampedDistance(a, b, max_distance, /*with_transpositions=*/true);
+}
+
+bool IsSingleTransposition(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  size_t i = 0;
+  while (i < a.size() && a[i] == b[i]) ++i;
+  // a[i] != b[i] == a[i+1] below, so the swapped bytes differ.
+  return i + 1 < a.size() && a[i] == b[i + 1] && a[i + 1] == b[i] &&
+         a.substr(i + 2) == b.substr(i + 2);
 }
 
 double StringSimilarity(std::string_view a, std::string_view b) {

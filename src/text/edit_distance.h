@@ -8,9 +8,16 @@
 //   * Damerau (optimal string alignment) distance adding transpositions —
 //     the dominant real-world typo per the spelling-correction literature
 //     the paper cites (Kukich '92),
-//   * thresholded variants that abandon the computation once the distance
-//     provably exceeds a bound (banded DP), keeping window scanning cheap,
+//   * thresholded variants that report any distance above a bound as
+//     bound + 1, keeping window scanning cheap,
+//   * an O(n) test for "exactly one adjacent transposition",
 //   * a normalized similarity in [0,1] for rule thresholds.
+//
+// Cost: when the shorter string is at most 64 bytes (every field of the
+// employee schema in practice), all four distances run a one-word
+// bit-parallel kernel (Myers 1999 for Levenshtein, Hyyro 2003 for OSA
+// Damerau) in O(|a| + |b|) word operations and no allocation. Above that
+// they fall back to a row-by-row DP in O(|a| * |b|) time.
 
 #ifndef MERGEPURGE_TEXT_EDIT_DISTANCE_H_
 #define MERGEPURGE_TEXT_EDIT_DISTANCE_H_
@@ -19,21 +26,26 @@
 
 namespace mergepurge {
 
-// Classic Levenshtein distance. O(|a|*|b|) time, O(min) space.
+// Classic Levenshtein distance.
 int EditDistance(std::string_view a, std::string_view b);
 
 // Optimal-string-alignment Damerau distance: Levenshtein plus adjacent
 // transposition as a unit-cost operation.
 int DamerauDistance(std::string_view a, std::string_view b);
 
-// Banded Levenshtein: returns the exact distance if it is <= max_distance,
-// otherwise returns max_distance + 1. Runs in O(max_distance * min(|a|,|b|)).
+// Returns min(EditDistance(a, b), max_distance + 1), and 0 when
+// max_distance < 0. A length gap over the bound answers without a kernel.
 int BoundedEditDistance(std::string_view a, std::string_view b,
                         int max_distance);
 
-// Banded Damerau (OSA) with the same early-exit contract.
+// Damerau (OSA) with the same contract.
 int BoundedDamerauDistance(std::string_view a, std::string_view b,
                            int max_distance);
+
+// True when a and b have the same length and differ only by swapping two
+// adjacent, different bytes: exactly DamerauDistance == 1 &&
+// EditDistance == 2, in one pass over the strings.
+bool IsSingleTransposition(std::string_view a, std::string_view b);
 
 // 1 - distance / max(|a|, |b|), using Damerau distance; returns 1.0 when
 // both strings are empty. This is the "differ slightly" measure the rule
@@ -41,7 +53,7 @@ int BoundedDamerauDistance(std::string_view a, std::string_view b,
 double StringSimilarity(std::string_view a, std::string_view b);
 
 // Returns true if the strings are within the given Damerau distance. This
-// is the form the rule base uses; it exploits the banded computation.
+// is the form the rule base uses.
 bool WithinDistance(std::string_view a, std::string_view b, int max_distance);
 
 }  // namespace mergepurge

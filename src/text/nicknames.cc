@@ -1,8 +1,26 @@
 #include "text/nicknames.h"
 
+#include <cctype>
+
 #include "util/string_util.h"
 
 namespace mergepurge {
+
+namespace {
+
+// Longest name SameCanonicalName upper-cases on the stack.
+constexpr size_t kStackNameBytes = 64;
+
+// ToUpperAscii into a caller buffer of at least name.size() bytes.
+std::string_view UpperInto(std::string_view name, char* buf) {
+  for (size_t i = 0; i < name.size(); ++i) {
+    buf[i] = static_cast<char>(
+        std::toupper(static_cast<unsigned char>(name[i])));
+  }
+  return std::string_view(buf, name.size());
+}
+
+}  // namespace
 
 void NicknameTable::AddVariant(std::string_view canonical,
                                std::string_view variant) {
@@ -16,15 +34,26 @@ void NicknameTable::AddGroup(std::string_view canonical,
   for (std::string_view v : variants) AddVariant(canonical, v);
 }
 
-std::string NicknameTable::Canonicalize(std::string_view name) const {
-  std::string upper = ToUpperAscii(name);
+std::string_view NicknameTable::CanonicalOfUpper(
+    std::string_view upper) const {
   auto it = variant_to_canonical_.find(upper);
-  return it != variant_to_canonical_.end() ? it->second : upper;
+  return it != variant_to_canonical_.end() ? std::string_view(it->second)
+                                           : upper;
+}
+
+std::string NicknameTable::Canonicalize(std::string_view name) const {
+  return std::string(CanonicalOfUpper(ToUpperAscii(name)));
 }
 
 bool NicknameTable::SameCanonicalName(std::string_view a,
                                       std::string_view b) const {
-  return Canonicalize(a) == Canonicalize(b);
+  if (a.size() > kStackNameBytes || b.size() > kStackNameBytes) {
+    return Canonicalize(a) == Canonicalize(b);
+  }
+  char a_buf[kStackNameBytes] = {};
+  char b_buf[kStackNameBytes] = {};
+  return CanonicalOfUpper(UpperInto(a, a_buf)) ==
+         CanonicalOfUpper(UpperInto(b, b_buf));
 }
 
 const NicknameTable& NicknameTable::Default() {

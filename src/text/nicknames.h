@@ -10,6 +10,7 @@
 #ifndef MERGEPURGE_TEXT_NICKNAMES_H_
 #define MERGEPURGE_TEXT_NICKNAMES_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -37,13 +38,28 @@ class NicknameTable {
   // when unknown.
   std::string Canonicalize(std::string_view name) const;
 
-  // True when both names canonicalize to the same string.
+  // True when both names canonicalize to the same string. Names of up to
+  // 64 bytes are compared without allocating.
   bool SameCanonicalName(std::string_view a, std::string_view b) const;
 
   size_t size() const { return variant_to_canonical_.size(); }
 
  private:
-  std::unordered_map<std::string, std::string> variant_to_canonical_;
+  // Hashes std::string keys and std::string_view probes alike, so lookups
+  // need not build a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  // The canonical form of an already upper-cased name; `upper` itself
+  // when unknown.
+  std::string_view CanonicalOfUpper(std::string_view upper) const;
+
+  std::unordered_map<std::string, std::string, NameHash, std::equal_to<>>
+      variant_to_canonical_;
 };
 
 }  // namespace mergepurge

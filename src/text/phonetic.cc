@@ -63,28 +63,42 @@ std::string LettersUpper(std::string_view s) {
   return out;
 }
 
-}  // namespace
+// Writes the four-byte Soundex code of `name` into `code`; false when
+// `name` has no letters. Non-letters are skipped as if absent.
+bool SoundexInto(std::string_view name, char (&code)[4]) {
+  auto is_letter = [](char c) {
+    return std::isalpha(static_cast<unsigned char>(c)) != 0;
+  };
+  size_t i = 0;
+  while (i < name.size() && !is_letter(name[i])) ++i;
+  if (i == name.size()) return false;
 
-std::string Soundex(std::string_view name) {
-  std::string letters = LettersUpper(name);
-  if (letters.empty()) return "";
-
-  std::string code;
-  code += letters[0];
-  char prev_digit = SoundexDigit(letters[0]);
-  for (size_t i = 1; i < letters.size() && code.size() < 4; ++i) {
-    char c = letters[i];
+  code[0] =
+      static_cast<char>(std::toupper(static_cast<unsigned char>(name[i])));
+  size_t len = 1;
+  char prev_digit = SoundexDigit(code[0]);
+  for (++i; i < name.size() && len < 4; ++i) {
+    char c = name[i];
+    if (!is_letter(c)) continue;
     char digit = SoundexDigit(c);
     char lower = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     if (lower == 'h' || lower == 'w') {
       // h and w are transparent: they do not reset the repeat suppression.
       continue;
     }
-    if (digit != '0' && digit != prev_digit) code += digit;
+    if (digit != '0' && digit != prev_digit) code[len++] = digit;
     prev_digit = digit;
   }
-  while (code.size() < 4) code += '0';
-  return code;
+  while (len < 4) code[len++] = '0';
+  return true;
+}
+
+}  // namespace
+
+std::string Soundex(std::string_view name) {
+  char code[4] = {};
+  if (!SoundexInto(name, code)) return "";
+  return std::string(code, sizeof(code));
 }
 
 std::string Nysiis(std::string_view name) {
@@ -174,9 +188,10 @@ std::string Nysiis(std::string_view name) {
 }
 
 bool SoundsAlikeSoundex(std::string_view a, std::string_view b) {
-  std::string ca = Soundex(a);
-  if (ca.empty()) return false;
-  return ca == Soundex(b);
+  char ca[4] = {};
+  char cb[4] = {};
+  return SoundexInto(a, ca) && SoundexInto(b, cb) &&
+         std::string_view(ca, sizeof(ca)) == std::string_view(cb, sizeof(cb));
 }
 
 bool SoundsAlikeNysiis(std::string_view a, std::string_view b) {

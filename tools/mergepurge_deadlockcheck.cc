@@ -322,6 +322,8 @@ struct Frame {
   std::string cls;    // class path for member resolution
   size_t depth = 0;   // scope-stack size at function open
   std::vector<HeldEntry> held;
+  // Parameters and locals declared with a known class type -> class path.
+  std::map<std::string, std::string> local_types;
 };
 
 struct Scope {
@@ -385,10 +387,21 @@ class Checker {
 
   // --- Lock / callee resolution ------------------------------------------
 
+  // Class path named by a type token ("RunContext", "ns::Walker"); "" when
+  // no class, or more than one, has that name.
+  std::string ClassPathOf(const std::string& type) const {
+    if (classes.count(type) != 0) return type;
+    auto range = class_by_last.equal_range(LastIdent(type));
+    if (std::distance(range.first, range.second) == 1)
+      return range.first->second;
+    return "";
+  }
+
   // Resolves a lock expression ("mu_", "service_->theory_mu_",
   // "LogMutex()", "run.mu") to a manifest lock name; "" when unknown.
-  std::string ResolveLockExpr(const std::string& expr,
-                              const std::string& cls) {
+  // `frames` (innermost last) supply the types of locals and parameters.
+  std::string ResolveLockExpr(const std::string& expr, const std::string& cls,
+                              const std::vector<Frame>* frames = nullptr) {
     std::string t = expr;
     while (!t.empty() && (t.back() == ' ' || t.back() == ')')) {
       if (t.back() == ')') {  // lock-returning function call
@@ -400,7 +413,21 @@ class Checker {
     }
     const std::string member = LastIdent(t);
     if (member.empty()) return "";
-    // Innermost class first, then enclosing classes, then unique-anywhere.
+    // A qualified member ("run.mu", "p->mu") is a lock of its base's class;
+    // with the base's type unknown, only the enclosing classes may own it.
+    const std::string base = QualifierBase(t, member);
+    if (!base.empty()) {
+      std::string type = LocalType(base, frames);
+      if (type.empty()) type = ResolveMemberType(base, cls);
+      if (!type.empty()) {
+        auto cit = member_lock.find(type);
+        if (cit == member_lock.end()) return "";
+        auto mit = cit->second.find(member);
+        return mit == cit->second.end() ? "" : mit->second;
+      }
+    }
+    // Innermost class first, then enclosing classes, then (unqualified
+    // members only) unique-anywhere.
     std::string c = cls;
     while (true) {
       auto cit = member_lock.find(c);
@@ -412,12 +439,75 @@ class Checker {
       if (pos == std::string::npos) break;
       c = c.substr(0, pos);
     }
-    auto range = member_lock_any.equal_range(member);
-    if (std::distance(range.first, range.second) == 1)
-      return range.first->second;
+    if (base.empty()) {
+      auto range = member_lock_any.equal_range(member);
+      if (std::distance(range.first, range.second) == 1)
+        return range.first->second;
+    }
     auto fit = lock_fn.find(member);
     if (fit != lock_fn.end()) return fit->second;
     return "";
+  }
+
+  // "x.mu", "(*x).mu", "p->mu" -> the base identifier; "" when `t` (which
+  // ends with `member`) is unqualified or qualified by `this`.
+  static std::string QualifierBase(const std::string& t,
+                                   const std::string& member) {
+    std::string prefix = t.substr(0, t.size() - member.size());
+    while (!prefix.empty() && prefix.back() == ' ') prefix.pop_back();
+    if (prefix.size() >= 2 && prefix.compare(prefix.size() - 2, 2, "->") == 0)
+      prefix.resize(prefix.size() - 2);
+    else if (!prefix.empty() && prefix.back() == '.')
+      prefix.pop_back();
+    else
+      return "";
+    const std::string base = LastIdent(prefix);
+    return base == "this" ? "" : base;
+  }
+
+  static std::string LocalType(const std::string& name,
+                               const std::vector<Frame>* frames) {
+    if (frames == nullptr) return "";
+    for (auto it = frames->rbegin(); it != frames->rend(); ++it) {
+      auto lit = it->local_types.find(name);
+      if (lit != it->local_types.end()) return lit->second;
+    }
+    return "";
+  }
+
+  // Records each `Type name`, `Type& name` or `Type* name` declaration in
+  // `text` whose type is a known class.
+  void CollectLocalTypes(const std::string& text,
+                         std::map<std::string, std::string>* out) const {
+    const size_t n = text.size();
+    size_t i = 0;
+    while (i < n) {
+      if (!IsIdentChar(text[i]) ||
+          (i > 0 && (IsIdentChar(text[i - 1]) || text[i - 1] == ':'))) {
+        ++i;
+        continue;
+      }
+      size_t end = i;  // the type token, with any :: qualification
+      while (end < n && (IsIdentChar(text[end]) || text[end] == ':')) ++end;
+      const std::string type = text.substr(i, end - i);
+      i = end;
+      if (ClassPathOf(type).empty()) continue;
+      size_t j = end;
+      while (j < n && (std::isspace(static_cast<unsigned char>(text[j])) ||
+                       text[j] == '&' || text[j] == '*'))
+        ++j;
+      if (j == end || j == n || !IsIdentChar(text[j]) ||
+          std::isdigit(static_cast<unsigned char>(text[j])))
+        continue;
+      size_t name_end = j;
+      while (name_end < n && IsIdentChar(text[name_end])) ++name_end;
+      size_t after = name_end;
+      while (after < n && std::isspace(static_cast<unsigned char>(text[after])))
+        ++after;
+      // A statement arrives without its ';'.
+      if (after == n || std::strchr(",=({)[", text[after]) != nullptr)
+        (*out)[text.substr(j, name_end - j)] = ClassPathOf(type);
+    }
   }
 
   // Member variable -> class-path type, innermost class first.
@@ -645,8 +735,8 @@ const LintRule kLintRules[] = {
      "raw std::condition_variable; use mergepurge::CondVar (util/sync.h)"},
     {"raw-lock-call",
      std::regex(
-         R"(\.\s*(lock|unlock|try_lock|lock_shared|unlock_shared)\s*\(\s*\))"),
-     "bare .lock()/.unlock() call; use the scoped types or the annotated "
+         R"((\.|->)\s*(lock|unlock|try_lock|lock_shared|unlock_shared)\s*\(\s*\))"),
+     "bare lock()/unlock() call; use the scoped types or the annotated "
      "Lock()/Unlock() members"},
     {"detached-thread", std::regex(R"(\.\s*detach\s*\(\s*\))"),
      "detached thread; join it, or allow it with a comment saying why it "
@@ -946,19 +1036,21 @@ class FileScanner {
       std::string text = header;
       for (const MacroHit& hit : ExtractMacros(&text)) Annotate(&fn, hit);
     } else {
-      Frame frame;
+      frames_.emplace_back();
+      Frame& frame = frames_.back();
       frame.key = key;
       frame.cls = fn_cls;
       frame.depth = scopes_.size() + 1;
+      ck_.CollectLocalTypes(header, &frame.local_types);
       auto it = ck_.fns.find(key);
       if (it != ck_.fns.end()) {
         for (const std::string& member : it->second.requires_raw) {
-          const std::string lock = ck_.ResolveLockExpr(member, fn_cls);
+          const std::string lock =
+              ck_.ResolveLockExpr(member, fn_cls, &frames_);
           if (!lock.empty())
             frame.held.push_back({lock, "", frame.depth, true});
         }
       }
-      frames_.push_back(std::move(frame));
     }
   }
 
@@ -1150,6 +1242,7 @@ class FileScanner {
     Frame& frame = frames_.back();
     const std::string& cls = frame.cls;
     std::set<size_t> consumed;  // call-regex positions already handled
+    ck_.CollectLocalTypes(raw, &frame.local_types);
 
     if (raw.find("MERGEPURGE_LOG") != std::string::npos)
       RecordCall(frame, ck_.ResolveFn("", "LogMessage"), line);
@@ -1168,7 +1261,7 @@ class FileScanner {
         lock = st->second;
       } else {
         const std::string expr = BalancedParens(raw, open);
-        lock = ck_.ResolveLockExpr(expr, cls);
+        lock = ck_.ResolveLockExpr(expr, cls, &frames_);
         if (lock.empty()) {
           ck_.Report(file_, line, "unresolved-lock",
                      type + " " + var + "(" + Trimmed(expr) +
@@ -1200,7 +1293,7 @@ class FileScanner {
         }
       }
       if (toggled) continue;
-      const std::string lock = ck_.ResolveLockExpr(expr, cls);
+      const std::string lock = ck_.ResolveLockExpr(expr, cls, &frames_);
       if (lock.empty()) {
         ck_.Report(file_, line, "unresolved-lock",
                    expr + "." + method + "(): cannot resolve the lock");
@@ -1229,14 +1322,7 @@ class FileScanner {
       if (kKeywords.count(last) == 0 &&
           ck_.mf.scoped_lock.count(last) == 0 && last != "MutexLock" &&
           last != "WriterLock" && last != "ReaderLock") {
-        std::string cls_path;
-        if (ck_.classes.count(type) != 0) {
-          cls_path = type;
-        } else {
-          auto range = ck_.class_by_last.equal_range(last);
-          if (std::distance(range.first, range.second) == 1)
-            cls_path = range.first->second;
-        }
+        const std::string cls_path = ck_.ClassPathOf(type);
         if (!cls_path.empty()) {
           const std::string key = cls_path + "::" + LastIdent(cls_path);
           if (ck_.fns.count(key) != 0) RecordCall(frame, key, line);
@@ -1321,14 +1407,7 @@ void ResolvePendingMembers(Checker& ck) {
          it != std::sregex_iterator(); ++it) {
       const std::string tok = it->str();
       if (tok == member || kKeywords.count(tok) != 0) continue;
-      std::string path;
-      if (ck.classes.count(tok) != 0) {
-        path = tok;
-      } else {
-        auto range = ck.class_by_last.equal_range(tok);
-        if (std::distance(range.first, range.second) == 1)
-          path = range.first->second;
-      }
+      const std::string path = ck.ClassPathOf(tok);
       if (!path.empty()) {
         ck.member_type[pm.cls][member] = path;
         break;
