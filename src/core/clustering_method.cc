@@ -1,6 +1,7 @@
 #include "core/clustering_method.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "cluster/partitioner.h"
 #include "core/window_scanner.h"
@@ -12,6 +13,34 @@
 
 namespace mergepurge {
 
+Result<ClusterPartition> PartitionClusters(const Dataset& dataset,
+                                           const KeySpec& key,
+                                           const ClusteringOptions& options,
+                                           size_t num_clusters) {
+  ClusterPartition partition;
+  std::vector<std::string> cluster_keys =
+      KeyBuilder(key.FixedWidth(options.fixed_key_prefix)).BuildKeys(dataset);
+  Rng rng(options.seed);
+  Histogram histogram =
+      BuildHistogram(cluster_keys, options.histogram_depth,
+                     options.histogram_sample, &rng);
+  Result<KeyPartitioner> partitioner =
+      KeyPartitioner::FromHistogram(histogram, num_clusters);
+  if (!partitioner.ok()) return partitioner.status();
+
+  partition.clusters.resize(partitioner->num_clusters());
+  for (size_t t = 0; t < dataset.size(); ++t) {
+    partition.clusters[partitioner->ClusterOf(cluster_keys[t])].push_back(
+        static_cast<TupleId>(t));
+  }
+
+  // Sort key: the fixed cluster key (paper), or the full key (ablation).
+  partition.sort_keys = options.sort_with_full_key
+                            ? KeyBuilder(key).BuildKeys(dataset)
+                            : std::move(cluster_keys);
+  return partition;
+}
+
 Result<PassResult> ClusteringMethod::Run(
     const Dataset& dataset, const KeySpec& key,
     const EquationalTheory& theory) const {
@@ -21,8 +50,7 @@ Result<PassResult> ClusteringMethod::Run(
   if (options_.num_clusters == 0) {
     return Status::InvalidArgument("num_clusters must be >= 1");
   }
-  KeyBuilder full_builder(key);
-  MERGEPURGE_RETURN_NOT_OK(full_builder.Validate(dataset.schema()));
+  MERGEPURGE_RETURN_NOT_OK(KeyBuilder(key).Validate(dataset.schema()));
   if (dataset.empty()) {
     PassResult empty;
     empty.key_name = key.name;
@@ -45,26 +73,11 @@ Result<PassResult> ClusteringMethod::Run(
 
   // --- Phase 1: extract the fixed-size key and cluster the data. ---
   Timer phase;
-  const KeySpec fixed_spec = key.FixedWidth(options_.fixed_key_prefix);
-  KeyBuilder fixed_builder(fixed_spec);
-  std::vector<std::string> cluster_keys = fixed_builder.BuildKeys(dataset);
-  result.create_keys_seconds = phase.ElapsedSeconds();
-
-  phase.Restart();
-  Rng rng(options_.seed);
-  Histogram histogram =
-      BuildHistogram(cluster_keys, options_.histogram_depth,
-                     options_.histogram_sample, &rng);
-  Result<KeyPartitioner> partitioner =
-      KeyPartitioner::FromHistogram(histogram, options_.num_clusters);
-  if (!partitioner.ok()) return partitioner.status();
-
-  std::vector<std::vector<TupleId>> clusters(partitioner->num_clusters());
-  for (size_t t = 0; t < dataset.size(); ++t) {
-    clusters[partitioner->ClusterOf(cluster_keys[t])].push_back(
-        static_cast<TupleId>(t));
-  }
+  Result<ClusterPartition> partition =
+      PartitionClusters(dataset, key, options_, options_.num_clusters);
+  if (!partition.ok()) return partition.status();
   result.cluster_seconds = phase.ElapsedSeconds();
+  std::vector<std::vector<TupleId>>& clusters = partition->clusters;
 
   last_stats_ = ClusterStats();
   last_stats_.num_clusters = clusters.size();
@@ -88,14 +101,7 @@ Result<PassResult> ClusteringMethod::Run(
   }
 
   // --- Phase 2: sorted-neighborhood inside each cluster. ---
-  // Sort key: the fixed cluster key (paper), or the full key (ablation).
-  std::vector<std::string> sort_keys;
-  if (options_.sort_with_full_key) {
-    sort_keys = full_builder.BuildKeys(dataset);
-  }
-  const std::vector<std::string>& keys_for_sort =
-      options_.sort_with_full_key ? sort_keys : cluster_keys;
-
+  const KeyOrder order_by_key{partition->sort_keys};
   WindowScanner scanner(options_.window);
   ScanStats pass_stats;
   {
@@ -103,12 +109,7 @@ Result<PassResult> ClusteringMethod::Run(
     for (std::vector<TupleId>& cluster : clusters) {
       if (cluster.size() < 2) continue;
       phase.Restart();
-      std::sort(cluster.begin(), cluster.end(),
-                [&keys_for_sort](TupleId a, TupleId b) {
-                  int cmp = keys_for_sort[a].compare(keys_for_sort[b]);
-                  if (cmp != 0) return cmp < 0;
-                  return a < b;
-                });
+      std::sort(cluster.begin(), cluster.end(), order_by_key);
       result.sort_seconds += phase.ElapsedSeconds();
 
       phase.Restart();

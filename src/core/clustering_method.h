@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/sorted_neighborhood.h"
@@ -56,6 +57,21 @@ struct ClusterStats {
   size_t smallest_cluster = 0;
   size_t empty_clusters = 0;
 };
+
+// Phase 1 of the clustering method, for the serial and the parallel run:
+// fixed-size keys -> key-prefix histogram -> equi-depth clusters.
+struct ClusterPartition {
+  std::vector<std::vector<TupleId>> clusters;  // Ascending ids; may be empty.
+  // Per tuple id, the phase-2 sort key for KeyOrder: the fixed cluster
+  // key, or the full key with ClusteringOptions::sort_with_full_key.
+  std::vector<std::string> sort_keys;
+};
+
+// Partitions `dataset` into `num_clusters` (>= 1) clusters by `key`.
+Result<ClusterPartition> PartitionClusters(const Dataset& dataset,
+                                           const KeySpec& key,
+                                           const ClusteringOptions& options,
+                                           size_t num_clusters);
 
 class ClusteringMethod {
  public:

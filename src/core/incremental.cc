@@ -1,7 +1,10 @@
 #include "core/incremental.h"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
+#include "core/window_scanner.h"
 #include "text/normalize.h"
 
 namespace mergepurge {
@@ -54,76 +57,39 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
   const TupleId first_new = static_cast<TupleId>(all_.size());
   if (all_.empty()) all_ = Dataset(batch.schema());
   for (const Record& r : incoming->records()) all_.Append(r);
-  const TupleId end_new = static_cast<TupleId>(all_.size());
   closure_.Grow(all_.size());
 
-  const size_t w = options_.window;
+  const auto record_of = [this](TupleId t) -> const Record& {
+    return all_.record(t);
+  };
   uint64_t new_pairs = 0;
 
   for (KeyState& state : key_states_) {
     KeyBuilder builder(state.spec);
     MERGEPURGE_RETURN_NOT_OK(builder.Validate(all_.schema()));
 
-    // Key + sort the new tuple ids.
+    // Key + sort the new tuple ids, then merge them into the order.
     state.keys.resize(all_.size());
-    std::vector<TupleId> fresh;
-    fresh.reserve(end_new - first_new);
-    for (TupleId t = first_new; t < end_new; ++t) {
-      state.keys[t] = builder.BuildKey(all_.record(t));
-      fresh.push_back(t);
-    }
-    std::sort(fresh.begin(), fresh.end(),
-              [&state](TupleId a, TupleId b) {
-                int cmp = state.keys[a].compare(state.keys[b]);
-                if (cmp != 0) return cmp < 0;
-                return a < b;
-              });
+    std::vector<TupleId> fresh(all_.size() - first_new);
+    std::iota(fresh.begin(), fresh.end(), first_new);
+    for (TupleId t : fresh) state.keys[t] = builder.BuildKey(all_.record(t));
+    const KeyOrder order_by_key{state.keys};
+    std::sort(fresh.begin(), fresh.end(), order_by_key);
+    std::vector<TupleId> merged(state.order.size() + fresh.size());
+    std::merge(state.order.begin(), state.order.end(), fresh.begin(),
+               fresh.end(), merged.begin(), order_by_key);
 
-    // Linear merge into the existing order; is_new marks fresh positions.
-    std::vector<TupleId> merged;
-    merged.reserve(state.order.size() + fresh.size());
-    std::vector<char> is_new;
-    is_new.reserve(merged.capacity());
-    size_t i = 0;
-    size_t j = 0;
-    while (i < state.order.size() && j < fresh.size()) {
-      int cmp = state.keys[state.order[i]].compare(state.keys[fresh[j]]);
-      bool take_old = cmp < 0 || (cmp == 0 && state.order[i] < fresh[j]);
-      merged.push_back(take_old ? state.order[i] : fresh[j]);
-      is_new.push_back(take_old ? 0 : 1);
-      take_old ? ++i : ++j;
-    }
-    for (; i < state.order.size(); ++i) {
-      merged.push_back(state.order[i]);
-      is_new.push_back(0);
-    }
-    for (; j < fresh.size(); ++j) {
-      merged.push_back(fresh[j]);
-      is_new.push_back(1);
-    }
-
-    // Window-scan only the disturbed neighborhoods: every in-window pair
-    // involving at least one new record.
-    for (size_t p = 0; p < merged.size(); ++p) {
-      if (!is_new[p]) continue;
-      const size_t lo = p >= w - 1 ? p - (w - 1) : 0;
-      for (size_t q = lo; q < p; ++q) {
-        // New-new pairs are scanned once (q < p); new-old always.
-        if (theory.Matches(all_.record(merged[q]),
-                           all_.record(merged[p]))) {
-          if (pairs_.Add(merged[q], merged[p])) ++new_pairs;
-          closure_.Union(merged[q], merged[p]);
-        }
-      }
-      const size_t hi = std::min(merged.size(), p + w);
-      for (size_t q = p + 1; q < hi; ++q) {
-        if (is_new[q]) continue;  // Handled from q's own loop.
-        if (theory.Matches(all_.record(merged[p]),
-                           all_.record(merged[q]))) {
-          if (pairs_.Add(merged[p], merged[q])) ++new_pairs;
-          closure_.Union(merged[p], merged[q]);
-        }
-      }
+    // The batch's records are the new positions. closure_ is updated out
+    // here, where the held labels_mu_ is visible, not in the callback.
+    std::vector<std::pair<TupleId, TupleId>> found;
+    WindowScanner(options_.window)
+        .ScanNew(
+            merged, 0, merged.size(), theory, record_of,
+            [&](size_t pos) { return merged[pos] >= first_new; },
+            [&found](TupleId a, TupleId b) { found.emplace_back(a, b); });
+    for (const auto& [a, b] : found) {
+      if (pairs_.Add(a, b)) ++new_pairs;
+      closure_.Union(a, b);
     }
     state.order = std::move(merged);
   }
@@ -153,18 +119,8 @@ Status IncrementalMergePurge::Restore(Dataset records, PairSet pairs) {
   for (KeyState& state : key_states_) {
     KeyBuilder builder(state.spec);
     MERGEPURGE_RETURN_NOT_OK(builder.Validate(all_.schema()));
-    state.keys.resize(all_.size());
-    state.order.resize(all_.size());
-    for (TupleId t = 0; t < static_cast<TupleId>(all_.size()); ++t) {
-      state.keys[t] = builder.BuildKey(all_.record(t));
-      state.order[t] = t;
-    }
-    std::sort(state.order.begin(), state.order.end(),
-              [&state](TupleId a, TupleId b) {
-                int cmp = state.keys[a].compare(state.keys[b]);
-                if (cmp != 0) return cmp < 0;
-                return a < b;
-              });
+    state.keys = builder.BuildKeys(all_);
+    state.order = OrderByKeys(state.keys);
   }
   return Status::OK();
 }
@@ -183,41 +139,42 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
   Record probe = record;
   if (options_.condition_records) ConditionEmployeeRecord(&probe);
 
-  const size_t w = options_.window;
-  // A record already matched under an earlier key is not compared again.
-  // result.matches holds at most keys * 2(w-1) ids, so the search is
-  // bounded by the window, not by the store size.
-  auto matched = [&result](TupleId t) {
-    return std::find(result.matches.begin(), result.matches.end(), t) !=
-           result.matches.end();
+  // The probe's would-be tuple id stands for it: the only new position.
+  const TupleId probe_id = static_cast<TupleId>(all_.size());
+  const auto record_of = [&](TupleId t) -> const Record& {
+    return t == probe_id ? probe : all_.record(t);
   };
+  const size_t span = options_.window - 1;
+  std::vector<TupleId> near;
   for (const KeyState& state : key_states_) {
     KeyBuilder builder(state.spec);
     MERGEPURGE_RETURN_NOT_OK(builder.Validate(all_.schema()));
     const std::string probe_key = builder.BuildKey(probe);
-    // A probe admitted now would carry the largest tuple id, so among
-    // equal keys it sorts after every existing record (AddBatch's
-    // tie-break): its position is the first entry with a greater key.
-    const auto pos = std::upper_bound(
-        state.order.begin(), state.order.end(), probe_key,
-        [&state](const std::string& key, TupleId t) {
-          return key.compare(state.keys[t]) < 0;
-        });
-    const size_t p = static_cast<size_t>(pos - state.order.begin());
-    // Neighbors that would land at distances 1..w-1 before the probe.
-    const size_t lo = p >= w - 1 ? p - (w - 1) : 0;
-    for (size_t q = lo; q < p; ++q) {
-      const TupleId t = state.order[q];
-      if (matched(t)) continue;
-      if (theory.Matches(all_.record(t), probe)) result.matches.push_back(t);
-    }
-    // ... and at distances 1..w-1 after it.
-    const size_t hi = std::min(state.order.size(), p + (w - 1));
-    for (size_t q = p; q < hi; ++q) {
-      const TupleId t = state.order[q];
-      if (matched(t)) continue;
-      if (theory.Matches(probe, all_.record(t))) result.matches.push_back(t);
-    }
+    // With the largest tuple id, the probe sorts after every record with
+    // an equal key (KeyOrder): before the first entry with a greater key.
+    const size_t p = static_cast<size_t>(
+        std::upper_bound(state.order.begin(), state.order.end(), probe_key,
+                         [&state](const std::string& key, TupleId t) {
+                           return key < state.keys[t];
+                         }) -
+        state.order.begin());
+    // The w-1 records on either side, less those matched under an earlier
+    // key (the rest stay in the window). result.matches holds at most
+    // keys * 2(w-1) ids, so the search is bounded by the window.
+    near.assign(state.order.begin() + (p >= span ? p - span : 0),
+                state.order.begin() + std::min(state.order.size(), p + span));
+    near.insert(near.begin() + std::min(p, span), probe_id);
+    std::erase_if(near, [&result](TupleId t) {
+      return std::find(result.matches.begin(), result.matches.end(), t) !=
+             result.matches.end();
+    });
+    WindowScanner(options_.window)
+        .ScanNew(
+            near, 0, near.size(), theory, record_of,
+            [&](size_t at) { return near[at] == probe_id; },
+            [&](TupleId a, TupleId b) {
+              result.matches.push_back(a == probe_id ? b : a);
+            });
   }
   std::sort(result.matches.begin(), result.matches.end());
   return result;

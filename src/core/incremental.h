@@ -8,11 +8,12 @@
 // records seen so far and, when a batch arrives:
 //
 //   1. conditions and keys the new records,
-//   2. merges them into each key's sorted order (one linear merge),
-//   3. window-scans ONLY the neighborhoods disturbed by insertions —
-//      every pair within the window that involves at least one new record
-//      (old-old pairs cannot become closer: insertions only push existing
-//      records apart),
+//   2. merges them into each key's sorted order (one std::merge in
+//      KeyOrder, core/sorted_neighborhood.h),
+//   3. window-scans ONLY the neighborhoods disturbed by insertions: the
+//      pair rule of core/window_scanner.h with the batch's records as the
+//      new positions (old-old pairs cannot become closer: insertions only
+//      push existing records apart),
 //   4. folds the discovered pairs into a persistent union-find closure.
 //
 // Guarantee (tested): after any sequence of batches, the incremental pair
@@ -60,19 +61,19 @@ class IncrementalMergePurge {
   // conditioned — Restore never re-conditions) and the pair set, as
   // saved by a service snapshot (service/snapshot.h). Only valid on an
   // engine that has seen no batches. Per-key sorted orders are rebuilt
-  // by a full sort; because AddBatch's merge is ordered by the same
-  // total (key, tuple id) comparator, the rebuilt orders are identical
-  // to the ones the original batch sequence produced, and the closure
-  // rebuilt from the pairs is canonically labeled — so a restored
-  // engine is indistinguishable from the live one it was copied from.
+  // by a full sort in KeyOrder, the total order AddBatch merges in, so
+  // they are identical to the ones the original batch sequence produced;
+  // the closure rebuilt from the pairs is canonically labeled — so a
+  // restored engine is indistinguishable from the live one it was copied
+  // from.
   Status Restore(Dataset records, PairSet pairs);
 
   // Read-only probe: conditions and keys `record` exactly as AddBatch
   // would, finds its would-be position in every key's sorted order, and
-  // window-scans the neighborhoods it would disturb — without copying the
-  // record into the store or touching any engine state. The tuple ids
-  // returned are exactly the old-record side of the pairs AddBatch would
-  // discover for a singleton batch of `record`.
+  // scans that neighbourhood with the probe as the only new position —
+  // without copying the record into the store or touching any engine
+  // state. The tuple ids returned are exactly the old-record side of the
+  // pairs AddBatch would discover for a singleton batch of `record`.
   //
   // Thread-safety: concurrent MatchOnly calls are safe provided no
   // AddBatch runs concurrently (single-writer / multi-reader; the service

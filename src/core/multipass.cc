@@ -1,7 +1,7 @@
 #include "core/multipass.h"
 
+#include <algorithm>
 #include <filesystem>
-#include <unordered_set>
 
 #include "core/checkpoint.h"
 #include "obs/metric_names.h"
@@ -161,14 +161,17 @@ Result<MultiPassResult> MultiPass::Run(
 
   progress.BeginPhase("transitive closure");
   Timer closure_timer;
-  PairSet all_pairs;
   std::vector<const PairSet*> pair_sets;
   pair_sets.reserve(result.passes.size());
   for (const PassResult& pass : result.passes) {
-    all_pairs.Merge(pass.pairs);
+    // Count the pass's pairs that no earlier pass found.
+    pass.pairs.ForEach([&](TupleId a, TupleId b) {
+      result.union_pair_count += std::none_of(
+          pair_sets.begin(), pair_sets.end(),
+          [&](const PairSet* earlier) { return earlier->Contains(a, b); });
+    });
     pair_sets.push_back(&pass.pairs);
   }
-  result.union_pair_count = all_pairs.size();
   result.component_of = TransitiveClosure(pair_sets, dataset.size());
   result.closure_seconds = closure_timer.ElapsedSeconds();
   result.total_seconds += result.closure_seconds;

@@ -9,8 +9,8 @@ namespace mergepurge {
 
 namespace {
 
-// One merge step: merges `left` and `right` (sorted by key, ties by tid)
-// into `out`, comparing each emitted record against the previous window-1
+// One merge step: merges `left` and `right` (each in KeyOrder) into
+// `out`, comparing each emitted record against the previous window-1
 // emitted records that came from the other input run.
 void MergeAndDetect(const Dataset& dataset,
                     const std::vector<std::string>& keys,
@@ -45,12 +45,11 @@ void MergeAndDetect(const Dataset& dataset,
     out->push_back(tid);
   };
 
+  const KeyOrder order_by_key{keys};
   size_t i = 0;
   size_t j = 0;
   while (i < left.size() && j < right.size()) {
-    int cmp = keys[left[i]].compare(keys[right[j]]);
-    bool take_left = cmp < 0 || (cmp == 0 && left[i] < right[j]);
-    if (take_left) {
+    if (order_by_key(left[i], right[j])) {
       emit(left[i++], true);
     } else {
       emit(right[j++], false);

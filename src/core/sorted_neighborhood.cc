@@ -11,18 +11,16 @@
 
 namespace mergepurge {
 
+std::vector<TupleId> OrderByKeys(const std::vector<std::string>& keys) {
+  std::vector<TupleId> order(keys.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), KeyOrder{keys});
+  return order;
+}
+
 std::vector<TupleId> SortedNeighborhood::SortByKey(const Dataset& dataset,
                                                    const KeySpec& key) {
-  KeyBuilder builder(key);
-  std::vector<std::string> keys = builder.BuildKeys(dataset);
-  std::vector<TupleId> order(dataset.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&keys](TupleId a, TupleId b) {
-    int cmp = keys[a].compare(keys[b]);
-    if (cmp != 0) return cmp < 0;
-    return a < b;
-  });
-  return order;
+  return OrderByKeys(KeyBuilder(key).BuildKeys(dataset));
 }
 
 Result<PassResult> SortedNeighborhood::Run(
@@ -77,13 +75,7 @@ Result<PassResult> SortedNeighborhood::Run(
     phase.Restart();
     {
       Span span("sort");
-      order.resize(dataset.size());
-      std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(), [&keys](TupleId a, TupleId b) {
-        int cmp = keys[a].compare(keys[b]);
-        if (cmp != 0) return cmp < 0;
-        return a < b;
-      });
+      order = OrderByKeys(keys);
     }
     result.sort_seconds = phase.ElapsedSeconds();
     sort_us->Record(static_cast<double>(phase.ElapsedMicros()));

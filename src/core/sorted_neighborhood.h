@@ -25,9 +25,9 @@ struct PassResult {
   uint64_t windows = 0;  // Window positions scanned.
   uint64_t comparisons = 0;
   uint64_t matches = 0;
-  double create_keys_seconds = 0.0;
+  double create_keys_seconds = 0.0;  // SNM (clustering: in cluster_seconds).
   double sort_seconds = 0.0;   // SNM: full sort; clustering: per-cluster sorts.
-  double cluster_seconds = 0.0;  // Clustering method only.
+  double cluster_seconds = 0.0;  // Clustering only: keys + partition.
   double scan_seconds = 0.0;
   double total_seconds = 0.0;
   // True when the pass was loaded from a checkpoint instead of computed
@@ -51,6 +51,21 @@ struct SnmOptions {
   std::string temp_dir = "/tmp";
 };
 
+// The merge phase's one order (paper §2.2): by key, then by tuple id, so
+// every sort or merge of the same keys yields the same sequence. `keys`
+// is indexed by tuple id.
+struct KeyOrder {
+  const std::vector<std::string>& keys;
+
+  bool operator()(TupleId a, TupleId b) const {
+    const int cmp = keys[a].compare(keys[b]);
+    return cmp != 0 ? cmp < 0 : a < b;
+  }
+};
+
+// All tuple ids 0..keys.size()-1 in KeyOrder over `keys`.
+std::vector<TupleId> OrderByKeys(const std::vector<std::string>& keys);
+
 class SortedNeighborhood {
  public:
   explicit SortedNeighborhood(size_t window) { options_.window = window; }
@@ -64,8 +79,8 @@ class SortedNeighborhood {
   Result<PassResult> Run(const Dataset& dataset, const KeySpec& key,
                          const EquationalTheory& theory) const;
 
-  // Sorts tuple ids of `dataset` by the key (ties broken by tuple id for
-  // determinism). Exposed for the parallel implementation and tests.
+  // All tuple ids of `dataset` in KeyOrder of `key`. Exposed for the
+  // parallel implementation and tests.
   static std::vector<TupleId> SortByKey(const Dataset& dataset,
                                         const KeySpec& key);
 

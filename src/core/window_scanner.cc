@@ -18,43 +18,26 @@ void FlushScanStats(const ScanStats& stats) {
   matches->Add(stats.matches);
 }
 
-ScanStats WindowScanner::Scan(const Dataset& dataset,
-                              const std::vector<TupleId>& order,
-                              const EquationalTheory& theory,
-                              PairSet* pairs) const {
-  return ScanRange(dataset, order, 0, order.size(), theory, pairs);
-}
-
 ScanStats WindowScanner::ScanRange(const Dataset& dataset,
                                    const std::vector<TupleId>& order,
                                    size_t begin, size_t end,
                                    const EquationalTheory& theory,
                                    PairSet* pairs) const {
-  // Progress is reported in chunks so the hot loop sees only local
-  // arithmetic between chunk boundaries.
-  constexpr uint64_t kProgressChunk = 8192;
-  ProgressReporter& progress = ProgressReporter::Global();
+  // Progress is reported per chunk of entering positions: each chunk is
+  // scanned from window-1 positions before it, with only its own new.
+  constexpr size_t kProgressChunk = 8192;
   ScanStats stats;
-  if (window_ < 2 || begin >= end) return stats;
-  for (size_t i = begin + 1; i < end; ++i) {
-    const TupleId entering = order[i];
-    const Record& new_record = dataset.record(entering);
-    const size_t window_start =
-        (i - begin >= window_ - 1) ? i - (window_ - 1) : begin;
-    ++stats.windows;
-    if ((stats.windows & (kProgressChunk - 1)) == 0) {
-      progress.Advance(kProgressChunk);
-    }
-    for (size_t j = window_start; j < i; ++j) {
-      ++stats.comparisons;
-      const TupleId other = order[j];
-      if (theory.Matches(dataset.record(other), new_record)) {
-        ++stats.matches;
-        pairs->Add(other, entering);
-      }
-    }
+  for (size_t first = begin; window_ >= 2 && first < end;
+       first += kProgressChunk) {
+    const ScanStats chunk = ScanNew(
+        order, first - std::min(first - begin, window_ - 1),
+        std::min(end, first + kProgressChunk), theory,
+        [&dataset](TupleId t) -> const Record& { return dataset.record(t); },
+        [first](size_t pos) { return pos >= first; },
+        [pairs](TupleId a, TupleId b) { pairs->Add(a, b); });
+    ProgressReporter::Global().Advance(chunk.windows);
+    stats += chunk;
   }
-  progress.Advance(stats.windows & (kProgressChunk - 1));
   return stats;
 }
 

@@ -4,10 +4,18 @@
 // records in the window. If the size of the window is w records, then
 // every new record entering the window is compared with the previous w-1
 // records to find 'matching' records."
+//
+// The pair rule, stated once for every scan: over positions [begin, end)
+// of a sorted order, pair (j, i) with begin <= j < i < end and i - j < w
+// is compared iff position i or position j is NEW, once, as
+// theory.Matches(record at j, record at i) — (earlier, later). Batch and
+// parallel scans mark every position new; the incremental engine marks
+// the arriving batch, and its probe marks only itself.
 
 #ifndef MERGEPURGE_CORE_WINDOW_SCANNER_H_
 #define MERGEPURGE_CORE_WINDOW_SCANNER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -19,7 +27,7 @@
 namespace mergepurge {
 
 struct ScanStats {
-  uint64_t windows = 0;  // Window positions advanced (records entering).
+  uint64_t windows = 0;  // Positions compared with at least one earlier one.
   uint64_t comparisons = 0;
   uint64_t matches = 0;
 
@@ -44,10 +52,13 @@ class WindowScanner {
 
   size_t window() const { return window_; }
 
-  // Scans `order` (tuple ids in sorted sequence) over `dataset`, applying
-  // `theory` to each in-window pair; matching pairs are added to `pairs`.
+  // Scans `order` (tuple ids in sorted sequence) over `dataset` with every
+  // position new, applying `theory` to each in-window pair; matching pairs
+  // are added to `pairs`.
   ScanStats Scan(const Dataset& dataset, const std::vector<TupleId>& order,
-                 const EquationalTheory& theory, PairSet* pairs) const;
+                 const EquationalTheory& theory, PairSet* pairs) const {
+    return ScanRange(dataset, order, 0, order.size(), theory, pairs);
+  }
 
   // Scans a contiguous sub-range [begin, end) of `order`; used by the
   // parallel implementation, where fragments overlap by window-1 records
@@ -56,6 +67,46 @@ class WindowScanner {
                       const std::vector<TupleId>& order, size_t begin,
                       size_t end, const EquationalTheory& theory,
                       PairSet* pairs) const;
+
+  // The one window loop: applies the pair rule above to positions
+  // [begin, end) of `order`, with `record_of(tid)` giving each record,
+  // `is_new(pos)` marking new positions (asked once per position) and
+  // `on_match(earlier_tid, later_tid)` taking each matching pair.
+  template <typename RecordOf, typename IsNew, typename OnMatch>
+  ScanStats ScanNew(const std::vector<TupleId>& order, size_t begin,
+                    size_t end, const EquationalTheory& theory,
+                    const RecordOf& record_of, const IsNew& is_new,
+                    const OnMatch& on_match) const {
+    ScanStats stats;
+    if (window_ < 2) return stats;
+    // New positions so far; those from `oldest` on are in the window.
+    std::vector<size_t> fresh;
+    size_t oldest = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const bool entering_new = is_new(i);
+      // A new position is compared with its whole window, any other one
+      // only with the window's new positions (if it has any).
+      if (!entering_new && (fresh.empty() || i - fresh.back() >= window_)) {
+        continue;
+      }
+      const size_t lo = i - std::min(i - begin, window_ - 1);
+      while (oldest < fresh.size() && fresh[oldest] < lo) ++oldest;
+      const size_t count = entering_new ? i - lo : fresh.size() - oldest;
+      if (entering_new) fresh.push_back(i);
+      if (count == 0) continue;
+      ++stats.windows;
+      const auto& later = record_of(order[i]);
+      for (size_t k = 0; k < count; ++k) {
+        const size_t j = entering_new ? lo + k : fresh[oldest + k];
+        ++stats.comparisons;
+        if (theory.Matches(record_of(order[j]), later)) {
+          ++stats.matches;
+          on_match(order[j], order[i]);
+        }
+      }
+    }
+    return stats;
+  }
 
  private:
   size_t window_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cluster/partitioner.h"
 #include "core/window_scanner.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -27,8 +26,7 @@ Result<ParallelRunResult> ParallelClustering::Run(
   if (options_.window < 2) {
     return Status::InvalidArgument("window must be >= 2");
   }
-  KeyBuilder full_builder(key);
-  MERGEPURGE_RETURN_NOT_OK(full_builder.Validate(dataset.schema()));
+  MERGEPURGE_RETURN_NOT_OK(KeyBuilder(key).Validate(dataset.schema()));
 
   static LatencyHistogram* const scan_us =
       MetricsRegistry::Global().GetHistogram(metric_names::kSnmScanUs);
@@ -47,23 +45,11 @@ Result<ParallelRunResult> ParallelClustering::Run(
   Timer phase;
   const size_t total_clusters =
       std::max<size_t>(1, options_.num_clusters * num_processors_);
-  const KeySpec fixed_spec = key.FixedWidth(options_.fixed_key_prefix);
-  KeyBuilder fixed_builder(fixed_spec);
-  std::vector<std::string> cluster_keys = fixed_builder.BuildKeys(dataset);
-
-  Rng rng(options_.seed);
-  Histogram histogram =
-      BuildHistogram(cluster_keys, options_.histogram_depth,
-                     options_.histogram_sample, &rng);
-  Result<KeyPartitioner> partitioner =
-      KeyPartitioner::FromHistogram(histogram, total_clusters);
-  if (!partitioner.ok()) return partitioner.status();
-
-  std::vector<std::vector<TupleId>> clusters(partitioner->num_clusters());
-  for (size_t t = 0; t < dataset.size(); ++t) {
-    clusters[partitioner->ClusterOf(cluster_keys[t])].push_back(
-        static_cast<TupleId>(t));
-  }
+  Result<ClusterPartition> partition =
+      PartitionClusters(dataset, key, options_, total_clusters);
+  if (!partition.ok()) return partition.status();
+  const std::vector<std::vector<TupleId>>& clusters = partition->clusters;
+  const KeyOrder order_by_key{partition->sort_keys};
   result.cluster_seconds = phase.ElapsedSeconds();
 
   // Static load balancing: LPT on cluster sizes ("It then redistributes
@@ -95,12 +81,7 @@ Result<ParallelRunResult> ParallelClustering::Run(
       WindowScanner scanner(options_.window);
       PairSet local_pairs;
       std::vector<TupleId> sorted = *cluster;
-      std::sort(sorted.begin(), sorted.end(),
-                [&cluster_keys](TupleId a, TupleId b) {
-                  int cmp = cluster_keys[a].compare(cluster_keys[b]);
-                  if (cmp != 0) return cmp < 0;
-                  return a < b;
-                });
+      std::sort(sorted.begin(), sorted.end(), order_by_key);
       ScanStats stats = scanner.Scan(dataset, sorted, *theory, &local_pairs);
       double busy_seconds = busy.ElapsedSeconds();
       // Metrics flush rides the commit: an attempt that loses the

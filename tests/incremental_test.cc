@@ -194,5 +194,56 @@ TEST(IncrementalEdgeTest, NewPairCountAccumulates) {
   EXPECT_EQ(total_new, incremental.pairs().size());
 }
 
+// MatchOnly's documented contract: the probe returns exactly the
+// old-record side of the pairs AddBatch would discover for a singleton
+// batch of the same record.
+TEST(IncrementalEdgeTest, ProbeEqualsSingletonBatchPartners) {
+  GeneratorConfig config;
+  config.num_records = 2000;
+  config.seed = 99;
+  auto db = DatabaseGenerator(config).Generate();
+  ASSERT_TRUE(db.ok());
+  constexpr size_t kProbes = 300;
+  ASSERT_GT(db->dataset.size(), 4 * kProbes);
+  const size_t stored = db->dataset.size() - kProbes;
+
+  MergePurgeOptions options;
+  options.keys = StandardThreeKeys();
+  options.window = 10;
+  IncrementalMergePurge engine(options);
+  EmployeeTheory theory;
+  Dataset stream(db->dataset.schema());
+  for (size_t t = 0; t < stored; ++t) {
+    stream.Append(db->dataset.record(static_cast<TupleId>(t)));
+  }
+  for (const Dataset& batch : SplitBatches(stream, 4)) {
+    ASSERT_TRUE(engine.AddBatch(batch, theory).ok());
+  }
+
+  const TupleId probe_id = static_cast<TupleId>(engine.size());
+  size_t probes_with_matches = 0;
+  for (size_t t = stored; t < db->dataset.size(); ++t) {
+    const Record& record = db->dataset.record(static_cast<TupleId>(t));
+    Result<ProbeResult> probe = engine.MatchOnly(record, theory);
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+
+    IncrementalMergePurge admitted(options);
+    ASSERT_TRUE(admitted.Restore(engine.records(), engine.pairs()).ok());
+    Dataset single(db->dataset.schema());
+    single.Append(record);
+    ASSERT_TRUE(admitted.AddBatch(single, theory).ok());
+    std::vector<TupleId> partners;
+    admitted.pairs().ForEach([&](TupleId a, TupleId b) {
+      if (b == probe_id) partners.push_back(a);
+    });
+    std::sort(partners.begin(), partners.end());
+
+    EXPECT_EQ(probe->matches, partners) << "held-back record " << t;
+    if (!partners.empty()) ++probes_with_matches;
+  }
+  // The stream holds duplicates of many held-back records.
+  EXPECT_GT(probes_with_matches, kProbes / 2);
+}
+
 }  // namespace
 }  // namespace mergepurge

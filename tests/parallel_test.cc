@@ -264,27 +264,33 @@ TEST(BlockCyclicTest, TinyBlocksClampedForCoverage) {
 
 TEST_P(ParallelEquivalenceTest, ClusteringMatchesSerialPairSet) {
   const size_t processors = GetParam();
-  // Serial clustering with the same TOTAL cluster count as the parallel
-  // run (C per processor * P).
-  ClusteringOptions serial_options;
-  serial_options.num_clusters = 8 * processors;
-  serial_options.window = 10;
-  EmployeeTheory serial_theory;
-  auto serial = ClusteringMethod(serial_options)
-                    .Run(dataset_, LastNameKey(), serial_theory);
-  ASSERT_TRUE(serial.ok());
+  // Both sort keys: the fixed cluster key (paper) and the full key.
+  for (bool full_key : {false, true}) {
+    SCOPED_TRACE(full_key ? "sort_with_full_key" : "fixed sort key");
+    // Serial clustering with the same TOTAL cluster count as the parallel
+    // run (C per processor * P).
+    ClusteringOptions serial_options;
+    serial_options.num_clusters = 8 * processors;
+    serial_options.window = 10;
+    serial_options.sort_with_full_key = full_key;
+    EmployeeTheory serial_theory;
+    auto serial = ClusteringMethod(serial_options)
+                      .Run(dataset_, LastNameKey(), serial_theory);
+    ASSERT_TRUE(serial.ok());
 
-  ClusteringOptions parallel_options;
-  parallel_options.num_clusters = 8;  // Per processor.
-  parallel_options.window = 10;
-  ParallelClustering parallel(processors, parallel_options);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ClusteringOptions parallel_options;
+    parallel_options.num_clusters = 8;  // Per processor.
+    parallel_options.window = 10;
+    parallel_options.sort_with_full_key = full_key;
+    ParallelClustering parallel(processors, parallel_options);
+    auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_EQ(result->pairs.size(), serial->pairs.size());
-  serial->pairs.ForEach([&](TupleId a, TupleId b) {
-    EXPECT_TRUE(result->pairs.Contains(a, b));
-  });
+    EXPECT_EQ(result->pairs.size(), serial->pairs.size());
+    serial->pairs.ForEach([&](TupleId a, TupleId b) {
+      EXPECT_TRUE(result->pairs.Contains(a, b));
+    });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Processors, ParallelEquivalenceTest,

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -54,8 +55,9 @@ TEST(WindowScannerTest, ComparesOnlyWithinWindow) {
 
 TEST(WindowScannerTest, ComparisonCountFormula) {
   // For n records and window w: (n-1) + (n-2) + ... capped at w-1 each:
-  // total = sum_{i=1}^{n-1} min(i, w-1).
-  for (size_t n : {5u, 10u, 23u}) {
+  // total = sum_{i=1}^{n-1} min(i, w-1). The largest n spans several of
+  // ScanRange's progress chunks.
+  for (size_t n : {5u, 10u, 23u, 16389u}) {
     for (size_t w : {2u, 4u, 7u}) {
       std::vector<int> values(n);
       std::iota(values.begin(), values.end(), 0);
@@ -70,6 +72,62 @@ TEST(WindowScannerTest, ComparisonCountFormula) {
         expected += std::min(i, w - 1);
       }
       EXPECT_EQ(stats.comparisons, expected) << "n=" << n << " w=" << w;
+      EXPECT_EQ(stats.windows, n - 1) << "n=" << n << " w=" << w;
+      EXPECT_EQ(pairs.size(), n - 1) << "n=" << n << " w=" << w;
+    }
+  }
+
+  // With new positions marked, ScanNew compares exactly the in-window
+  // pairs that touch a new position, each as (earlier, later), and finds
+  // the full scan's matching pairs among them.
+  for (size_t n : {5u, 10u, 23u}) {
+    for (size_t w : {2u, 4u, 7u}) {
+      std::vector<int> values(n);
+      for (size_t i = 0; i < n; ++i) values[i] = static_cast<int>(i / 2);
+      Dataset d = NumberDataset(values);
+      std::vector<TupleId> order(n);
+      std::iota(order.begin(), order.end(), 0);
+      NumericTheory full_theory;
+      PairSet full_pairs;
+      WindowScanner(w).Scan(d, order, full_theory, &full_pairs);
+
+      // None new, first new, last new, two new within the window; the
+      // last round marks every position new.
+      const std::vector<std::vector<size_t>> masks = {
+          {}, {0}, {n - 1}, {1, 1 + w / 2}};
+      for (size_t m = 0; m <= masks.size(); ++m) {
+        std::vector<char> is_new(n, m == masks.size() ? 1 : 0);
+        if (m < masks.size()) {
+          for (size_t pos : masks[m]) is_new[pos] = 1;
+        }
+        uint64_t expected = 0;
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = i >= w - 1 ? i - (w - 1) : 0; j < i; ++j) {
+            if (is_new[i] || is_new[j]) ++expected;
+          }
+        }
+        NumericTheory theory;
+        PairSet pairs;
+        ScanStats stats = WindowScanner(w).ScanNew(
+            order, 0, n, theory,
+            [&d](TupleId t) -> const Record& { return d.record(t); },
+            [&is_new](size_t pos) { return is_new[pos] != 0; },
+            [&pairs](TupleId earlier, TupleId later) {
+              EXPECT_LT(earlier, later);
+              pairs.Add(earlier, later);
+            });
+        const std::string where = "n=" + std::to_string(n) +
+                                  " w=" + std::to_string(w) +
+                                  " mask=" + std::to_string(m);
+        EXPECT_EQ(stats.comparisons, expected) << where;
+        EXPECT_EQ(theory.comparison_count(), expected) << where;
+        PairSet filtered;
+        full_pairs.ForEach([&](TupleId a, TupleId b) {
+          if (is_new[a] || is_new[b]) filtered.Add(a, b);
+        });
+        EXPECT_EQ(pairs.ToSortedVector(), filtered.ToSortedVector())
+            << where;
+      }
     }
   }
 }

@@ -564,5 +564,16 @@ echo "=== bench gates ==="
   --baseline="${root}/bench/baselines/BENCH_snm.json" \
   --fresh="${root}/BENCH_snm.json" \
   --metric=config/best_seconds --max-regress-pct=25
+# The comparison count is deterministic (seed 42: 3 repeats x 1,343,358),
+# so it is gated exactly: two one-sided 0% checks, baseline and fresh
+# swapped, together require equality.
+"${root}/build/tools/bench_compare" \
+  --baseline="${root}/bench/baselines/BENCH_snm.json" \
+  --fresh="${root}/BENCH_snm.json" \
+  --metric=counters/snm.comparisons --max-regress-pct=0
+"${root}/build/tools/bench_compare" \
+  --baseline="${root}/BENCH_snm.json" \
+  --fresh="${root}/bench/baselines/BENCH_snm.json" \
+  --metric=counters/snm.comparisons --max-regress-pct=0
 
 echo "ci: plain, asan/ubsan, tsan and lock-discipline gates passed; tidy + rulecheck + obs + service e2e + crash-recovery e2e + coordinator e2e + bench gates validated"
