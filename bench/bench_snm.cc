@@ -10,8 +10,10 @@
 //   bench_snm [--records=20000] [--window=10] [--repeat=3] [--seed=42]
 //             [--out=BENCH_snm.json]
 //
-// The report's "bench" config block carries the best-of-repeat wall time
-// and derived throughput, recall_pct, false_positive_pct and
+// The engine scans on every hardware thread (MergePurgeOptions::threads
+// = 0); the count is recorded as config/threads. The report's "bench"
+// config block carries the best-of-repeat wall time and derived
+// throughput, recall_pct, false_positive_pct, entities and
 // rules.distance_calls_per_comparison; passes/closure/counters come from
 // the best run.
 
@@ -29,6 +31,7 @@
 #include "obs/run_report.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace mergepurge;
@@ -118,12 +121,16 @@ int main(int argc, char** argv) {
   report.SetConfig("window", JsonValue(static_cast<uint64_t>(window)));
   report.SetConfig("repeat", JsonValue(static_cast<uint64_t>(repeat)));
   report.SetConfig("seed", JsonValue(seed));
+  report.SetConfig("threads", JsonValue(static_cast<uint64_t>(
+                                  ResolveThreadCount(options.threads))));
   report.SetConfig("best_seconds", JsonValue(best_seconds));
   report.SetConfig("records_per_second", JsonValue(records_per_s));
   report.SetConfig("comparisons_per_second", JsonValue(comparisons_per_s));
   report.SetConfig("recall_pct", JsonValue(accuracy.recall_percent));
   report.SetConfig("false_positive_pct",
                    JsonValue(accuracy.false_positive_percent));
+  report.SetConfig("entities",
+                   JsonValue(static_cast<uint64_t>(best->num_entities)));
   report.SetConfig("rules.distance_calls_per_comparison",
                    JsonValue(distance_calls_per_comparison));
   report.SetDataset(dataset.size(), dataset.schema().num_fields());

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/multipass.h"
+#include "core/parallel_snm.h"
 #include "core/sorted_neighborhood.h"
 #include "eval/experiment.h"
 #include "eval/table_printer.h"
@@ -25,7 +26,6 @@
 #include "keys/standard_keys.h"
 #include "parallel/cost_model.h"
 #include "parallel/parallel_clustering.h"
-#include "parallel/parallel_snm.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 #include "util/timer.h"
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                                                   theory);
     if (!serial.ok()) return 1;
     ParallelSnm snm(4, kWindow);
-    auto parallel = snm.Run(db->dataset, keys[0], factory);
+    auto parallel = snm.Run(db->dataset, keys[0], theory);
     if (!parallel.ok()) return 1;
     std::printf("thread-executor check (P=4, key=%s): %zu pairs %s\n",
                 keys[0].name.c_str(), parallel->pairs.size(),

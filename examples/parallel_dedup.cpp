@@ -1,5 +1,5 @@
 // Parallel merge/purge (paper §4): runs the thread-based shared-nothing
-// executors (banded fragments for SNM; LPT-balanced clusters for the
+// executors (owned fragments for SNM; LPT-balanced clusters for the
 // clustering method), verifies they reproduce the serial pair sets, and
 // prints the calibrated cluster model's projected times for P = 1..8.
 //
@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "core/clustering_method.h"
+#include "core/parallel_snm.h"
 #include "core/sorted_neighborhood.h"
 #include "eval/experiment.h"
 #include "eval/table_printer.h"
@@ -16,7 +17,6 @@
 #include "keys/standard_keys.h"
 #include "parallel/cost_model.h"
 #include "parallel/parallel_clustering.h"
-#include "parallel/parallel_snm.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 
@@ -54,16 +54,23 @@ int main(int argc, char** argv) {
 
   // Parallel SNM on worker threads.
   ParallelSnm snm(procs, 10);
-  auto snm_result = snm.Run(db->dataset, LastNameKey(), factory);
+  EmployeeTheory theory;
+  auto snm_result = snm.Run(db->dataset, LastNameKey(), theory);
   if (!snm_result.ok()) {
     std::fprintf(stderr, "%s\n", snm_result.status().ToString().c_str());
     return 1;
   }
-  std::printf("parallel SNM (%zu workers): %zu pairs (serial: %zu) -> %s\n",
-              procs, snm_result->pairs.size(), serial->pairs.size(),
-              snm_result->pairs.size() == serial->pairs.size()
-                  ? "identical"
-                  : "MISMATCH");
+  const bool identical =
+      snm_result->pairs.ToSortedVector() == serial->pairs.ToSortedVector() &&
+      snm_result->comparisons == serial->comparisons;
+  std::printf(
+      "parallel SNM (%zu workers): %zu pairs, %llu comparisons (serial: "
+      "%zu, %llu) -> %s\n",
+      procs, snm_result->pairs.size(),
+      static_cast<unsigned long long>(snm_result->comparisons),
+      serial->pairs.size(),
+      static_cast<unsigned long long>(serial->comparisons),
+      identical ? "identical" : "MISMATCH");
 
   // Parallel clustering method.
   ClusteringOptions cluster_options;

@@ -5,6 +5,7 @@
 #include "gen/places_data.h"
 #include "text/normalize.h"
 #include "text/spell.h"
+#include "util/thread_pool.h"
 
 namespace mergepurge {
 
@@ -61,7 +62,8 @@ Result<MergePurgeResult> MergePurgeEngine::Run(
   }
   if (options_.condition_records) {
     conditioned = dataset;
-    ConditionEmployeeDataset(&conditioned);
+    ConditionEmployeeDataset(&conditioned,
+                             ResolveThreadCount(options_.threads));
     if (options_.spell_correct_city) {
       static const SpellCorrector* corrector =
           new SpellCorrector(AllCityNames());
@@ -74,7 +76,8 @@ Result<MergePurgeResult> MergePurgeEngine::Run(
     input = &conditioned;
   }
 
-  MultiPass multipass(options_.method, options_.window, options_.clustering);
+  MultiPass multipass(options_.method, options_.window, options_.clustering,
+                      options_.threads);
   Result<MultiPassResult> detail =
       multipass.Run(*input, options_.keys, theory, options_.checkpoint_dir);
   if (!detail.ok()) return detail.status();

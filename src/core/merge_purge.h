@@ -49,6 +49,12 @@ struct MergePurgeOptions {
   // conditioning (paper §3.2: improves detected duplicates by ~1.5-2%).
   bool spell_correct_city = false;
 
+  // Worker threads of each sorted-neighborhood pass's window scan: 0 (the
+  // default) means one per hardware thread, 1 scans serially. Results
+  // (pairs, labels, every count) do not depend on it, so checkpoints
+  // ignore it. The clustering method always runs serially.
+  size_t threads = 0;
+
   // Non-empty: checkpoint each pass's pairs under this directory and
   // resume from any pass already completed there with matching inputs and
   // parameters (core/checkpoint.h). The CLI exposes this as --resume=DIR.
@@ -78,8 +84,15 @@ class MergePurgeEngine {
 
   const MergePurgeOptions& options() const { return options_; }
 
-  // Runs merge (and closure) over the dataset. The theory's comparison
-  // counter reflects the run afterwards.
+  // Runs merge (and closure) over the dataset. Each sorted-neighborhood
+  // pass scans on `options().threads` workers, each comparing with its own
+  // clone of `theory` (EquationalTheory::Clone), made on the calling
+  // thread; a theory that cannot clone scans on one worker itself. So the
+  // run's comparison counts live in the result (detail.passes[k]
+  // .comparisons) and in the metrics registry (snm.comparisons, and the
+  // theory's rules.* counters, flushed once per committed fragment) —
+  // not in `theory.comparison_count()`, which only a theory that cannot
+  // clone, or the clustering method, advances.
   Result<MergePurgeResult> Run(const Dataset& dataset,
                                const EquationalTheory& theory) const;
 

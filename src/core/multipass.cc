@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "core/checkpoint.h"
+#include "core/parallel_snm.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -46,10 +47,13 @@ std::vector<uint32_t> TransitiveClosure(const PairSet& pairs, size_t n) {
 Result<PassResult> MultiPass::RunOnePass(
     const Dataset& dataset, const KeySpec& key,
     const EquationalTheory& theory) const {
-  return method_ == Method::kSortedNeighborhood
-             ? SortedNeighborhood(window_).Run(dataset, key, theory)
-             : ClusteringMethod(clustering_options_).Run(dataset, key,
-                                                         theory);
+  if (method_ == Method::kClustering) {
+    return ClusteringMethod(clustering_options_).Run(dataset, key, theory);
+  }
+  Result<ParallelRunResult> pass =
+      ParallelSnm(threads_, window_).Run(dataset, key, theory);
+  if (!pass.ok()) return pass.status();
+  return PassResult(std::move(*pass));
 }
 
 uint64_t MultiPass::ConfigDigest() const {

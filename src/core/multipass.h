@@ -46,15 +46,22 @@ class MultiPass {
  public:
   enum class Method { kSortedNeighborhood, kClustering };
 
+  // `threads` workers scan each sorted-neighborhood pass (0: one per
+  // hardware thread; see ParallelSnm). Results do not depend on it. The
+  // clustering method runs serially.
   MultiPass(Method method, size_t window,
-            ClusteringOptions clustering_options = ClusteringOptions())
+            ClusteringOptions clustering_options = ClusteringOptions(),
+            size_t threads = 1)
       : method_(method),
         window_(window),
-        clustering_options_(clustering_options) {
+        clustering_options_(clustering_options),
+        threads_(threads) {
     clustering_options_.window = window;
   }
 
-  // Runs one pass per key and closes over the union of the results.
+  // Runs one pass per key and closes over the union of the results. The
+  // theory is used as ParallelSnm::Run uses it: sorted-neighborhood passes
+  // compare with its clones when it can clone.
   Result<MultiPassResult> Run(const Dataset& dataset,
                               const std::vector<KeySpec>& keys,
                               const EquationalTheory& theory) const;
@@ -78,6 +85,7 @@ class MultiPass {
   Method method_;
   size_t window_;
   ClusteringOptions clustering_options_;
+  size_t threads_;
 };
 
 }  // namespace mergepurge

@@ -63,8 +63,11 @@ struct KeyOrder {
   }
 };
 
-// All tuple ids 0..keys.size()-1 in KeyOrder over `keys`.
-std::vector<TupleId> OrderByKeys(const std::vector<std::string>& keys);
+// All tuple ids 0..keys.size()-1 in KeyOrder over `keys`, sorted on up to
+// `threads` threads (KeyOrder is a total order, so the result does not
+// depend on it).
+std::vector<TupleId> OrderByKeys(const std::vector<std::string>& keys,
+                                 size_t threads = 1);
 
 class SortedNeighborhood {
  public:
@@ -79,8 +82,16 @@ class SortedNeighborhood {
   Result<PassResult> Run(const Dataset& dataset, const KeySpec& key,
                          const EquationalTheory& theory) const;
 
-  // All tuple ids of `dataset` in KeyOrder of `key`. Exposed for the
-  // parallel implementation and tests.
+  // Phases 1 and 2 of Run (create keys, sort): all tuple ids of `dataset`
+  // in KeyOrder of `key`, through the external sorter when configured,
+  // else sorted in memory on `threads` threads. Records the phase times in
+  // `timings`.
+  Result<std::vector<TupleId>> BuildOrder(const Dataset& dataset,
+                                          const KeySpec& key,
+                                          PassResult* timings,
+                                          size_t threads = 1) const;
+
+  // All tuple ids of `dataset` in KeyOrder of `key`, in memory, untimed.
   static std::vector<TupleId> SortByKey(const Dataset& dataset,
                                         const KeySpec& key);
 

@@ -8,9 +8,17 @@
 // The pair rule, stated once for every scan: over positions [begin, end)
 // of a sorted order, pair (j, i) with begin <= j < i < end and i - j < w
 // is compared iff position i or position j is NEW, once, as
-// theory.Matches(record at j, record at i) — (earlier, later). Batch and
-// parallel scans mark every position new; the incremental engine marks
-// the arriving batch, and its probe marks only itself.
+// theory.Matches(record at j, record at i) — (earlier, later). A batch
+// scan marks every position new (split into parts by the owned-range rule
+// below); the incremental engine marks the arriving batch, and its probe
+// marks only itself.
+//
+// The owned-range rule, which splits one scan into independent parts:
+// a range [begin, end) of positions is scanned from w-1 positions before
+// `begin`, with only its own positions new. The earlier positions are
+// lookback only, so ranges that tile [0, n) compare every in-window pair
+// exactly once between them — the pairs of the serial scan, no more.
+// Progress chunks and parallel fragments both follow it.
 
 #ifndef MERGEPURGE_CORE_WINDOW_SCANNER_H_
 #define MERGEPURGE_CORE_WINDOW_SCANNER_H_
@@ -45,6 +53,9 @@ struct ScanStats {
 // work. Kept out of the scan loop: the loop accumulates plain locals.
 void FlushScanStats(const ScanStats& stats);
 
+// Advances the live progress display by `windows` scanned positions.
+void ReportScanProgress(uint64_t windows);
+
 class WindowScanner {
  public:
   // window must be >= 2 (a window of 1 compares nothing).
@@ -54,19 +65,46 @@ class WindowScanner {
 
   // Scans `order` (tuple ids in sorted sequence) over `dataset` with every
   // position new, applying `theory` to each in-window pair; matching pairs
-  // are added to `pairs`.
+  // are added to `pairs`. The scan runs as owned ranges of 8192 positions,
+  // and reports each one's progress when it is done.
   ScanStats Scan(const Dataset& dataset, const std::vector<TupleId>& order,
                  const EquationalTheory& theory, PairSet* pairs) const {
-    return ScanRange(dataset, order, 0, order.size(), theory, pairs);
+    constexpr size_t kProgressChunk = 8192;
+    ScanStats stats;
+    for (size_t first = 0; first < order.size(); first += kProgressChunk) {
+      const ScanStats chunk =
+          ScanRange(dataset, order, first,
+                    std::min(order.size(), first + kProgressChunk), theory,
+                    pairs);
+      ReportScanProgress(chunk.windows);
+      stats += chunk;
+    }
+    return stats;
   }
 
-  // Scans a contiguous sub-range [begin, end) of `order`; used by the
-  // parallel implementation, where fragments overlap by window-1 records
-  // so the fragmentation is invisible (paper figure 5).
+  // Scans the owned range [begin, end) of `order` by the owned-range rule
+  // above, passing each matching pair to `on_match(earlier, later)`.
+  // Reports no progress: a parallel caller reports a range once it counts.
+  template <typename OnMatch>
   ScanStats ScanRange(const Dataset& dataset,
                       const std::vector<TupleId>& order, size_t begin,
                       size_t end, const EquationalTheory& theory,
-                      PairSet* pairs) const;
+                      const OnMatch& on_match) const {
+    if (window_ < 2 || begin >= end) return ScanStats();
+    return ScanNew(
+        order, begin - std::min(begin, window_ - 1), end, theory,
+        [&dataset](TupleId t) -> const Record& { return dataset.record(t); },
+        [begin](size_t pos) { return pos >= begin; }, on_match);
+  }
+
+  // The same, adding matching pairs to `pairs`.
+  ScanStats ScanRange(const Dataset& dataset,
+                      const std::vector<TupleId>& order, size_t begin,
+                      size_t end, const EquationalTheory& theory,
+                      PairSet* pairs) const {
+    return ScanRange(dataset, order, begin, end, theory,
+                     [pairs](TupleId a, TupleId b) { pairs->Add(a, b); });
+  }
 
   // The one window loop: applies the pair rule above to positions
   // [begin, end) of `order`, with `record_of(tid)` giving each record,

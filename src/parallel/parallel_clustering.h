@@ -6,13 +6,21 @@
 #ifndef MERGEPURGE_PARALLEL_PARALLEL_CLUSTERING_H_
 #define MERGEPURGE_PARALLEL_PARALLEL_CLUSTERING_H_
 
+#include <functional>
+#include <memory>
+
 #include "core/clustering_method.h"
+#include "core/parallel_snm.h"
 #include "parallel/load_balance.h"
-#include "parallel/parallel_snm.h"
 #include "record/dataset.h"
+#include "rules/equational_theory.h"
 #include "util/status.h"
 
 namespace mergepurge {
+
+// Each cluster scan gets its own theory instance (statistics counters are
+// not synchronized); the factory provides them.
+using TheoryFactory = std::function<std::unique_ptr<EquationalTheory>()>;
 
 class ParallelClustering {
  public:

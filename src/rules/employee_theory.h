@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -67,6 +68,11 @@ class EmployeeTheory final : public EquationalTheory {
   // and early-exit counts to the global registry and zeroes the local
   // accumulators.
   void FlushMetrics() const override;
+
+  // A theory with the same options and fresh counters.
+  std::unique_ptr<EquationalTheory> Clone() const override {
+    return std::make_unique<EmployeeTheory>(options_);
+  }
 
   // Index (0-based) of the rule that declared the pair equivalent, or -1.
   int MatchingRule(const Record& a, const Record& b) const;

@@ -14,6 +14,7 @@
 #ifndef MERGEPURGE_RULES_EQUATIONAL_THEORY_H_
 #define MERGEPURGE_RULES_EQUATIONAL_THEORY_H_
 
+#include <memory>
 #include <string>
 
 #include "record/record.h"
@@ -45,6 +46,12 @@ class EquationalTheory {
   // speculative executions that were abandoned never reach the registry.
   // Default: theory exposes no rule-level metrics.
   virtual void FlushMetrics() const {}
+
+  // An independent copy for another thread: the same rules and options,
+  // with its own zeroed comparison counter and statistics. The default,
+  // nullptr, means the theory cannot be copied; the merge phase then runs
+  // it on one thread.
+  virtual std::unique_ptr<EquationalTheory> Clone() const { return nullptr; }
 };
 
 }  // namespace mergepurge

@@ -86,6 +86,11 @@ class RuleProgram final : public EquationalTheory {
   // reset — a high-water mirror tracks what was already flushed.
   void FlushMetrics() const override;
 
+  // A copy (see the copy constructor): shares the compiled program.
+  std::unique_ptr<EquationalTheory> Clone() const override {
+    return std::make_unique<RuleProgram>(*this);
+  }
+
   // The purge policy assembled from the program's `merge <field>: prefer
   // <strategy>` directives (fields without a directive keep the default).
   const PurgePolicy& purge_policy() const;

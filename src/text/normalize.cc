@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace mergepurge {
 
@@ -139,11 +140,13 @@ void ConditionEmployeeRecord(Record* record) {
               NormalizeDigits(r.field(employee::kZip)));
 }
 
-void ConditionEmployeeDataset(Dataset* dataset) {
-  for (size_t i = 0; i < dataset->size(); ++i) {
-    ConditionEmployeeRecord(
-        &dataset->mutable_record(static_cast<TupleId>(i)));
-  }
+void ConditionEmployeeDataset(Dataset* dataset, size_t threads) {
+  ParallelFor(dataset->size(), threads, [dataset](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      ConditionEmployeeRecord(
+          &dataset->mutable_record(static_cast<TupleId>(i)));
+    }
+  });
 }
 
 }  // namespace mergepurge

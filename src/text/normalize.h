@@ -36,8 +36,9 @@ std::string NormalizeDigits(std::string_view s);
 void ConditionEmployeeRecord(Record* record);
 
 // Conditions every record of an employee-schema dataset in place, applying
-// the appropriate normalizer per field.
-void ConditionEmployeeDataset(Dataset* dataset);
+// the appropriate normalizer per field, on `threads` threads (records are
+// independent, so the result does not depend on it).
+void ConditionEmployeeDataset(Dataset* dataset, size_t threads = 1);
 
 }  // namespace mergepurge
 

@@ -1,14 +1,47 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace mergepurge {
+
+namespace {
+thread_local size_t current_thread_index = 0;
+}  // namespace
+
+size_t ResolveThreadCount(size_t requested) {
+  if (requested > 0) return requested;
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
+void ParallelFor(size_t n, size_t parts,
+                 const std::function<void(size_t, size_t)>& fn) {
+  parts = std::max<size_t>(1, std::min(parts, n));
+  if (parts == 1) {
+    fn(0, n);
+    return;
+  }
+  ThreadPool pool(parts);
+  for (size_t part = 0; part < parts; ++part) {
+    pool.Submit([&fn, n, parts, part] {
+      fn(n * part / parts, n * (part + 1) / parts);
+    });
+  }
+  pool.Wait();
+  if (pool.exceptions_caught() > 0) {
+    throw std::runtime_error(pool.first_exception_message());
+  }
+}
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
+
+size_t ThreadPool::CurrentThreadIndex() { return current_thread_index; }
 
 ThreadPool::~ThreadPool() {
   {
@@ -43,7 +76,8 @@ std::string ThreadPool::first_exception_message() const {
   return first_exception_message_;
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(size_t index) {
+  current_thread_index = index;
   while (true) {
     std::function<void()> task;
     {

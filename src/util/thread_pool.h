@@ -19,6 +19,18 @@
 
 namespace mergepurge {
 
+// The worker count a `threads` option asks for: `requested`, or one per
+// hardware thread when it is 0.
+size_t ResolveThreadCount(size_t requested);
+
+// Runs fn(begin, end) once for each of `parts` contiguous, near-equal
+// parts of [0, n), in parallel on a pool of that many threads, and returns
+// when all have finished. `parts` is clamped to [1, n]; one part runs on
+// the calling thread. An exception thrown by fn is rethrown here as
+// std::runtime_error after every part has finished.
+void ParallelFor(size_t n, size_t parts,
+                 const std::function<void(size_t, size_t)>& fn);
+
 class ThreadPool {
  public:
   // Spawns num_threads workers. num_threads == 0 is clamped to 1.
@@ -40,6 +52,11 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
+  // Index in [0, num_threads()) of the pool thread running the calling
+  // task; 0 outside any pool. One thread runs one task at a time, so
+  // scratch state indexed by it needs no lock.
+  static size_t CurrentThreadIndex();
+
   // Number of tasks that exited via an exception since construction.
   size_t exceptions_caught() const;
 
@@ -48,7 +65,7 @@ class ThreadPool {
   std::string first_exception_message() const;
 
  private:
-  void WorkerLoop();
+  void WorkerLoop(size_t index);
 
   mutable Mutex mu_{lockrank::kThreadPool};
   CondVar task_available_;

@@ -19,17 +19,19 @@
 #include "core/checkpoint.h"
 #include "core/merge_purge.h"
 #include "core/multipass.h"
+#include "core/parallel_snm.h"
 #include "core/sorted_neighborhood.h"
 #include "gen/generator.h"
 #include "io/csv.h"
 #include "io/pairs_io.h"
 #include "keys/standard_keys.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "parallel/parallel_clustering.h"
-#include "parallel/parallel_snm.h"
-#include "parallel/resilient_runner.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 #include "util/fault_injector.h"
+#include "util/resilient_runner.h"
 #include "util/thread_pool.h"
 
 namespace mergepurge {
@@ -313,7 +315,7 @@ TEST_F(FaultMatrixTest, SnmSurvivesFailOncePerFragment) {
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::FailN(4));  // 4 fragments.
   ParallelSnm parallel(4, 10);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), EmployeeTheory());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->retries, 4u);
   ExpectSerialPairs(*result);
@@ -326,7 +328,7 @@ TEST_F(FaultMatrixTest, SnmSurvivesSeededRandomFailures) {
   resilience.max_attempts_per_worker = 3;
   resilience.max_workers_per_task = 3;
   ParallelSnm parallel(3, 10, /*block_records=*/64, resilience);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), EmployeeTheory());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSerialPairs(*result);
 }
@@ -334,22 +336,43 @@ TEST_F(FaultMatrixTest, SnmSurvivesSeededRandomFailures) {
 TEST_F(FaultMatrixTest, SnmSurvivesPermanentStraggler) {
   // Every scan attempt straggles past the deadline; speculative copies
   // also straggle but complete — first finished commit wins, and the
-  // result is still exactly the serial pair set.
+  // result is still exactly the serial pair set. The losing copies'
+  // comparisons and rule statistics never reach the registry.
+  Counter* const comparisons =
+      MetricsRegistry::Global().GetCounter(metric_names::kSnmComparisons);
+  Counter* const distance_calls =
+      MetricsRegistry::Global().GetCounter(metric_names::kRulesDistanceCalls);
+  const uint64_t comparisons_before = comparisons->Value();
+  const uint64_t calls_before = distance_calls->Value();
+  EmployeeTheory serial_theory;
+  ASSERT_TRUE(
+      SortedNeighborhood(10).Run(dataset_, LastNameKey(), serial_theory).ok());
+  const uint64_t serial_comparisons =
+      comparisons->Value() - comparisons_before;
+  const uint64_t serial_calls = distance_calls->Value() - calls_before;
+
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::StraggleMs(60));
   ResilientOptions resilience;
   resilience.task_deadline_ms = 25;
   ParallelSnm parallel(2, 10, /*block_records=*/0, resilience);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  const uint64_t parallel_comparisons_before = comparisons->Value();
+  const uint64_t parallel_calls_before = distance_calls->Value();
+  auto result = parallel.Run(dataset_, LastNameKey(), EmployeeTheory());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->speculations, 0u);
   ExpectSerialPairs(*result);
+  EXPECT_EQ(result->comparisons, serial_comparisons);
+  EXPECT_EQ(comparisons->Value() - parallel_comparisons_before,
+            serial_comparisons);
+  EXPECT_EQ(distance_calls->Value() - parallel_calls_before, serial_calls);
 }
 
 TEST_F(FaultMatrixTest, SnmReportsPartialFailureWhenRetriesExhausted) {
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::FailN(1u << 20));
   ParallelSnm parallel(3, 10);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), EmployeeTheory());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
   EXPECT_NE(result.status().message().find("unprocessed"),

@@ -11,13 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "core/multipass.h"
+#include "core/parallel_snm.h"
 #include "core/sorted_neighborhood.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "parallel/parallel_snm.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 #include "util/fault_injector.h"
@@ -93,10 +93,6 @@ class FaultedRunMetricsTest : public ::testing::Test {
 
   void TearDown() override { FaultInjector::Global().Reset(); }
 
-  static TheoryFactory Factory() {
-    return [] { return std::make_unique<EmployeeTheory>(); };
-  }
-
   Dataset dataset_;
 };
 
@@ -106,7 +102,7 @@ TEST_F(FaultedRunMetricsTest, FaultedRunReportsRetriesAndSamePairs) {
 
   // Baseline: clean parallel run; note committed comparison count.
   registry.Reset();
-  auto clean = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto clean = parallel.Run(dataset_, LastNameKey(), EmployeeTheory());
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   MetricsSnapshot clean_snap = registry.Snapshot();
   ASSERT_EQ(clean_snap.counter(mn::kResilientRetries), 0u);
@@ -121,7 +117,7 @@ TEST_F(FaultedRunMetricsTest, FaultedRunReportsRetriesAndSamePairs) {
   FaultInjectorGuard guard;
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::FailN(4));
-  auto faulted = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto faulted = parallel.Run(dataset_, LastNameKey(), EmployeeTheory());
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
 
   MetricsSnapshot faulted_snap = registry.Snapshot();

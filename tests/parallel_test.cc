@@ -1,12 +1,14 @@
 // Parallel implementations: fragmentation coverage properties, LPT load
 // balancing, and the key correctness property — the parallel executors
-// produce EXACTLY the serial pair sets (the replicated bands make the
-// fragmentation invisible, paper figure 5).
+// produce EXACTLY the serial pair sets (paper figure 5), and the owned
+// fragments of ParallelSnm also make exactly the serial comparisons.
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,14 +16,14 @@
 #include "util/random.h"
 
 #include "core/clustering_method.h"
+#include "core/coordinator.h"
+#include "core/parallel_snm.h"
 #include "core/sorted_neighborhood.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
-#include "parallel/coordinator.h"
 #include "parallel/cost_model.h"
 #include "parallel/load_balance.h"
 #include "parallel/parallel_clustering.h"
-#include "parallel/parallel_snm.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 
@@ -31,38 +33,36 @@ namespace {
 // --- Fragmentation. ---
 
 TEST(FragmentsTest, CoverAllPositionsOnce) {
-  auto fragments = MakeOverlappingFragments(100, 4, 10);
+  auto fragments = MakeOwnedFragments(100, 4);
   ASSERT_EQ(fragments.size(), 4u);
-  // Fresh (non-band) regions tile [0, 100).
+  // Owned ranges tile [0, 100); the band is lookback, not part of them.
   EXPECT_EQ(fragments[0].begin, 0u);
   EXPECT_EQ(fragments.back().end, 100u);
   for (size_t i = 1; i < fragments.size(); ++i) {
-    // Band: fragment i starts w-1 before the previous fragment's end.
-    EXPECT_EQ(fragments[i].begin + 9, fragments[i - 1].end);
+    EXPECT_EQ(fragments[i].begin, fragments[i - 1].end);
   }
 }
 
 TEST(FragmentsTest, SmallInputsClamp) {
-  EXPECT_TRUE(MakeOverlappingFragments(0, 4, 10).empty());
-  auto fragments = MakeOverlappingFragments(3, 8, 10);
-  EXPECT_LE(fragments.size(), 3u);
+  EXPECT_TRUE(MakeOwnedFragments(0, 4).empty());
+  auto fragments = MakeOwnedFragments(3, 8);
+  ASSERT_EQ(fragments.size(), 3u);
   EXPECT_EQ(fragments[0].begin, 0u);
+  EXPECT_EQ(fragments.back().end, 3u);
 }
 
-TEST(FragmentsTest, WindowLargerThanFragment) {
-  auto fragments = MakeOverlappingFragments(10, 5, 8);
-  // Bands clamp at zero rather than underflowing.
-  for (const Fragment& f : fragments) {
-    EXPECT_LE(f.begin, f.end);
-    EXPECT_LE(f.end, 10u);
-  }
-  EXPECT_EQ(fragments.back().end, 10u);
+TEST(FragmentsTest, NearEqualSizes) {
+  auto fragments = MakeOwnedFragments(10, 4);
+  ASSERT_EQ(fragments.size(), 4u);
+  EXPECT_EQ(fragments[0].size(), 3u);
+  EXPECT_EQ(fragments[1].size(), 3u);
+  EXPECT_EQ(fragments[2].size(), 2u);
+  EXPECT_EQ(fragments[3].size(), 2u);
 }
 
-TEST(BlockCyclicTest, BlocksTileWithBands) {
-  auto per_site = MakeBlockCyclicFragments(100, 3, 20, 5);
-  ASSERT_EQ(per_site.size(), 3u);
-  // Collect all blocks, verify stride m-(w-1)=16 and full coverage.
+// All blocks of a block-cyclic deal, in position order.
+std::vector<Fragment> SortedBlocks(
+    const std::vector<std::vector<Fragment>>& per_site) {
   std::vector<Fragment> blocks;
   for (const auto& site_blocks : per_site) {
     blocks.insert(blocks.end(), site_blocks.begin(), site_blocks.end());
@@ -71,13 +71,23 @@ TEST(BlockCyclicTest, BlocksTileWithBands) {
             [](const Fragment& a, const Fragment& b) {
               return a.begin < b.begin;
             });
+  return blocks;
+}
+
+TEST(BlockCyclicTest, BlocksTileWithStride) {
+  auto per_site = MakeBlockCyclicFragments(100, 3, 20, 5);
+  ASSERT_EQ(per_site.size(), 3u);
+  // Each block owns m-(w-1) = 16 positions; with its band of w-1 = 4
+  // that is the M = 20 records the coordinator ships.
+  std::vector<Fragment> blocks = SortedBlocks(per_site);
   EXPECT_EQ(blocks.front().begin, 0u);
   EXPECT_EQ(blocks.back().end, 100u);
   for (size_t i = 1; i < blocks.size(); ++i) {
-    EXPECT_EQ(blocks[i].begin, blocks[i - 1].begin + 16);
-    // Overlap of w-1 = 4 positions.
-    EXPECT_EQ(blocks[i - 1].end - blocks[i].begin, 4u);
+    EXPECT_EQ(blocks[i].begin, blocks[i - 1].end);
+    EXPECT_EQ(blocks[i - 1].size(), 16u);
   }
+  // Round-robin: site s holds blocks s, s+3, ...
+  EXPECT_EQ(per_site[1].front().begin, 16u);
 }
 
 TEST(BlockCyclicTest, InputSmallerThanWindow) {
@@ -96,25 +106,17 @@ TEST(BlockCyclicTest, InputSmallerThanWindow) {
   EXPECT_EQ(covered_end, 5u);
 }
 
-TEST(BlockCyclicTest, BlockSizeBelowClampIsRaised) {
-  // m below 2*(w-1) would drop boundary pairs; the coordinator raises it
-  // to the clamp, so every stride is m_eff - (w-1) >= w-1.
-  auto per_site = MakeBlockCyclicFragments(200, 3, 2, 8);
-  std::vector<Fragment> blocks;
-  for (const auto& site : per_site) {
-    blocks.insert(blocks.end(), site.begin(), site.end());
-  }
-  std::sort(blocks.begin(), blocks.end(),
-            [](const Fragment& a, const Fragment& b) {
-              return a.begin < b.begin;
-            });
-  ASSERT_FALSE(blocks.empty());
-  EXPECT_EQ(blocks.front().begin, 0u);
-  EXPECT_EQ(blocks.back().end, 200u);
-  for (size_t i = 1; i < blocks.size(); ++i) {
-    // Consecutive blocks overlap by exactly w-1 = 7 positions.
-    EXPECT_EQ(blocks[i - 1].end - blocks[i].begin, 7u);
-    EXPECT_GE(blocks[i - 1].size(), 14u);  // Clamped to 2*(w-1).
+TEST(BlockCyclicTest, BlocksOfAtMostABandOwnOnePosition) {
+  // m <= w-1 leaves no room past the band: each block owns one position.
+  // The blocks still tile the order, and any tiling compares exactly the
+  // serial pairs (ParallelSnmTest.ComparesEachInWindowPairOnce runs such
+  // a deal).
+  std::vector<Fragment> blocks =
+      SortedBlocks(MakeBlockCyclicFragments(20, 3, 4, 10));
+  ASSERT_EQ(blocks.size(), 20u);
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(blocks[i].begin, i);
+    EXPECT_EQ(blocks[i].size(), 1u);
   }
 }
 
@@ -224,13 +226,11 @@ TEST_P(ParallelEquivalenceTest, SnmMatchesSerialExactly) {
   ASSERT_TRUE(serial.ok());
 
   ParallelSnm parallel(processors, 10);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), EmployeeTheory());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_EQ(result->pairs.size(), serial->pairs.size());
-  serial->pairs.ForEach([&](TupleId a, TupleId b) {
-    EXPECT_TRUE(result->pairs.Contains(a, b));
-  });
+  EXPECT_EQ(result->comparisons, serial->comparisons);
+  EXPECT_EQ(result->pairs.ToSortedVector(), serial->pairs.ToSortedVector());
 }
 
 TEST_P(ParallelEquivalenceTest, BlockCyclicSnmMatchesSerialExactly) {
@@ -242,22 +242,56 @@ TEST_P(ParallelEquivalenceTest, BlockCyclicSnmMatchesSerialExactly) {
 
   // Block-cyclic coordinator deal with small memory blocks.
   ParallelSnm parallel(processors, 10, /*block_records=*/64);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), EmployeeTheory());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_EQ(result->pairs.size(), serial->pairs.size());
-  serial->pairs.ForEach([&](TupleId a, TupleId b) {
-    EXPECT_TRUE(result->pairs.Contains(a, b));
-  });
+  EXPECT_EQ(result->comparisons, serial->comparisons);
+  EXPECT_EQ(result->pairs.ToSortedVector(), serial->pairs.ToSortedVector());
 }
 
-TEST(BlockCyclicTest, TinyBlocksClampedForCoverage) {
-  // Blocks smaller than 2*(w-1) would lose boundary pairs; the coordinator
-  // clamps them.
-  auto per_site = MakeBlockCyclicFragments(100, 2, 4, 10);
-  for (const auto& site : per_site) {
-    for (const Fragment& block : site) {
-      EXPECT_GE(block.size(), 9u);  // >= 2*(w-1), or the tail remainder.
+std::vector<std::pair<TupleId, TupleId>> IterationOrder(const PairSet& set) {
+  std::vector<std::pair<TupleId, TupleId>> pairs;
+  set.ForEach([&pairs](TupleId a, TupleId b) { pairs.emplace_back(a, b); });
+  return pairs;
+}
+
+// Every in-window pair is compared exactly once across fragments. On
+// these 12,525 records (last-name key, w = 10) the serial scan makes
+// 112,680 comparisons; fragments that re-scanned their w-1 band made
+// 112,716 (p = 2), 112,788 (p = 4) and 120,852 (block-cyclic, 4 sites,
+// m = 64). Blocks of m = 4 <= w-1 records own one position each.
+TEST(ParallelSnmTest, ComparesEachInWindowPairOnce) {
+  GeneratorConfig config;
+  config.num_records = 5000;
+  config.seed = 7;
+  auto db = DatabaseGenerator(config).Generate();
+  ASSERT_TRUE(db.ok());
+  ConditionEmployeeDataset(&db->dataset);
+  ASSERT_EQ(db->dataset.size(), 12525u);
+
+  EmployeeTheory serial_theory;
+  auto serial =
+      SortedNeighborhood(10).Run(db->dataset, LastNameKey(), serial_theory);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_EQ(serial->comparisons, 112680u);
+  const auto serial_pairs = serial->pairs.ToSortedVector();
+
+  for (size_t block_records : {size_t{0}, size_t{4}, size_t{64}}) {
+    for (size_t processors : {1, 2, 4, 8}) {
+      SCOPED_TRACE("p=" + std::to_string(processors) +
+                   " m=" + std::to_string(block_records));
+      auto result = ParallelSnm(processors, 10, block_records)
+                        .Run(db->dataset, LastNameKey(), EmployeeTheory());
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      // Every requested worker took part: fragments outnumber them.
+      EXPECT_EQ(result->worker_busy_seconds.size(), processors);
+      EXPECT_EQ(result->comparisons, 112680u);
+      EXPECT_EQ(result->windows, serial->windows);
+      EXPECT_EQ(result->matches, serial->matches);
+      EXPECT_EQ(result->pairs.ToSortedVector(), serial_pairs);
+      // The pairs were added in the serial scan's order, so even the hash
+      // set's iteration order is the serial one.
+      EXPECT_EQ(IterationOrder(result->pairs), IterationOrder(serial->pairs));
     }
   }
 }
@@ -299,9 +333,7 @@ INSTANTIATE_TEST_SUITE_P(Processors, ParallelEquivalenceTest,
 TEST(ParallelSnmTest, RejectsTinyWindow) {
   Dataset d(employee::MakeSchema());
   ParallelSnm parallel(2, 1);
-  auto result = parallel.Run(d, LastNameKey(), [] {
-    return std::make_unique<EmployeeTheory>();
-  });
+  auto result = parallel.Run(d, LastNameKey(), EmployeeTheory());
   EXPECT_FALSE(result.ok());
 }
 

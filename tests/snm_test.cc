@@ -56,7 +56,7 @@ TEST(WindowScannerTest, ComparesOnlyWithinWindow) {
 TEST(WindowScannerTest, ComparisonCountFormula) {
   // For n records and window w: (n-1) + (n-2) + ... capped at w-1 each:
   // total = sum_{i=1}^{n-1} min(i, w-1). The largest n spans several of
-  // ScanRange's progress chunks.
+  // Scan's progress chunks.
   for (size_t n : {5u, 10u, 23u, 16389u}) {
     for (size_t w : {2u, 4u, 7u}) {
       std::vector<int> values(n);

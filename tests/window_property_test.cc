@@ -1,16 +1,17 @@
-// Scanner-level property tests for the figure-5 band invariant: the union
-// of window scans over ANY fragmentation whose fragments overlap by w-1
-// and whose fresh regions tile the order equals the global window scan —
-// for arbitrary (n, w, P) combinations, not just the executors' defaults.
+// Scanner-level property tests for the figure-5 band invariant under the
+// owned-range rule: scanning ANY set of owned ranges that tile the order,
+// each from w-1 positions before its start, compares exactly the pairs of
+// the global window scan, each once, and finds its pair set — for
+// arbitrary (n, w, P) combinations, not just the executors' defaults.
 
 #include <numeric>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "core/coordinator.h"
 #include "core/window_scanner.h"
 #include "gen/generator.h"
-#include "parallel/coordinator.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 #include "util/random.h"
@@ -49,7 +50,7 @@ using GridParam = std::tuple<size_t /*n*/, size_t /*w*/, size_t /*p*/>;
 
 class BandInvariantTest : public ::testing::TestWithParam<GridParam> {};
 
-TEST_P(BandInvariantTest, OverlappingFragmentsReproduceGlobalScan) {
+TEST_P(BandInvariantTest, OwnedFragmentsReproduceGlobalScan) {
   auto [n, w, p] = GetParam();
   Dataset d = IdDataset(n);
   // Shuffled order so fragments cut through arbitrary neighborhoods.
@@ -63,13 +64,19 @@ TEST_P(BandInvariantTest, OverlappingFragmentsReproduceGlobalScan) {
   ModTheory theory(5);
   WindowScanner scanner(w);
   PairSet global;
-  scanner.Scan(d, order, theory, &global);
+  const uint64_t global_comparisons =
+      scanner.Scan(d, order, theory, &global).comparisons;
 
   PairSet fragmented;
-  for (const Fragment& fragment : MakeOverlappingFragments(n, p, w)) {
-    scanner.ScanRange(d, order, fragment.begin, fragment.end, theory,
-                      &fragmented);
+  uint64_t comparisons = 0;
+  for (const Fragment& fragment : MakeOwnedFragments(n, p)) {
+    comparisons += scanner
+                       .ScanRange(d, order, fragment.begin, fragment.end,
+                                  theory, &fragmented)
+                       .comparisons;
   }
+  EXPECT_EQ(comparisons, global_comparisons)
+      << "n=" << n << " w=" << w << " p=" << p;
   EXPECT_EQ(fragmented.size(), global.size())
       << "n=" << n << " w=" << w << " p=" << p;
   global.ForEach([&](TupleId a, TupleId b) {
@@ -90,16 +97,23 @@ TEST_P(BandInvariantTest, BlockCyclicReproducesGlobalScan) {
   ModTheory theory(7);
   WindowScanner scanner(w);
   PairSet global;
-  scanner.Scan(d, order, theory, &global);
+  const uint64_t global_comparisons =
+      scanner.Scan(d, order, theory, &global).comparisons;
 
   // Deliberately small blocks (clamped internally to 2*(w-1)).
   PairSet fragmented;
+  uint64_t comparisons = 0;
   for (const auto& site : MakeBlockCyclicFragments(n, p, w + 3, w)) {
     for (const Fragment& block : site) {
-      scanner.ScanRange(d, order, block.begin, block.end, theory,
-                        &fragmented);
+      comparisons +=
+          scanner
+              .ScanRange(d, order, block.begin, block.end, theory,
+                         &fragmented)
+              .comparisons;
     }
   }
+  EXPECT_EQ(comparisons, global_comparisons)
+      << "n=" << n << " w=" << w << " p=" << p;
   EXPECT_EQ(fragmented.size(), global.size())
       << "n=" << n << " w=" << w << " p=" << p;
   global.ForEach([&](TupleId a, TupleId b) {

@@ -38,11 +38,11 @@ run_suite "${root}/build" "" -DMERGEPURGE_SANITIZE="" \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 run_suite "${root}/build-san" "" "-DMERGEPURGE_SANITIZE=address;undefined"
 # TSan is incompatible with ASan, so it gets its own tree; run the suites
-# that exercise threads (parallel engine, resilient retry, incremental
-# engine, the TCP service, fault-tolerance, the sync primitives) rather
-# than all of ctest.
+# that exercise threads (parallel engine and the multi-threaded
+# MergePurgeEngine::Run, resilient retry, incremental engine, the TCP
+# service, fault-tolerance, the sync primitives) rather than all of ctest.
 run_suite "${root}/build-tsan" \
-  "parallel_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
+  "parallel_test|engine_threads_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
   "-DMERGEPURGE_SANITIZE=thread"
 
 # Compile-time lock discipline (clang only): build the whole tree with
@@ -136,6 +136,14 @@ echo "=== obs e2e (${obs_dir}) ==="
   counters/faults.tripped histograms/snm.scan_us histograms/closure.us
 "${root}/build/tools/validate_report" --file="${obs_dir}/trace.json" \
   traceEvents displayTimeUnit
+
+# The sorted-neighborhood bench runs here, before any e2e server starts:
+# its Run uses every core, so leftover server processes would skew the
+# best_seconds it records. It is compared with the baseline in the bench
+# gates at the end.
+echo "=== bench_snm ==="
+"${root}/build/bench/bench_snm" --records=20000 --window=10 --repeat=3 \
+  --seed=42 --out="${root}/BENCH_snm.json"
 
 # Service e2e: serve on an ephemeral loopback port — WAL durability ON
 # (--data-dir, --fsync=group) so the latency gate below prices the WAL
@@ -548,14 +556,12 @@ done
 kill -TERM "$(cat "${coord_dir}/pid_ref")" 2>/dev/null || true
 wait "$(cat "${coord_dir}/pid_ref")" || true
 
-# Latency-regression gates: compare the fresh service bench (from the
-# e2e above) and a fresh sorted-neighborhood bench against the committed
-# baselines in bench/baselines/, failing on a >25% p50 / best-seconds
-# regression. An improvement beyond the margin prints a re-baseline
+# Latency-regression gates: compare the fresh service bench and the
+# sorted-neighborhood bench (both from the steps above) against the
+# committed baselines in bench/baselines/, failing on a >25% p50 /
+# best-seconds regression. An improvement beyond the margin prints a re-baseline
 # reminder (see tools/bench_compare.cc).
 echo "=== bench gates ==="
-"${root}/build/bench/bench_snm" --records=20000 --window=10 --repeat=3 \
-  --seed=42 --out="${root}/BENCH_snm.json"
 "${root}/build/tools/bench_compare" \
   --baseline="${root}/bench/baselines/BENCH_service.json" \
   --fresh="${root}/BENCH_service.json" \
@@ -564,16 +570,21 @@ echo "=== bench gates ==="
   --baseline="${root}/bench/baselines/BENCH_snm.json" \
   --fresh="${root}/BENCH_snm.json" \
   --metric=config/best_seconds --max-regress-pct=25
-# The comparison count is deterministic (seed 42: 3 repeats x 1,343,358),
-# so it is gated exactly: two one-sided 0% checks, baseline and fresh
-# swapped, together require equality.
-"${root}/build/tools/bench_compare" \
-  --baseline="${root}/bench/baselines/BENCH_snm.json" \
-  --fresh="${root}/BENCH_snm.json" \
-  --metric=counters/snm.comparisons --max-regress-pct=0
-"${root}/build/tools/bench_compare" \
-  --baseline="${root}/BENCH_snm.json" \
-  --fresh="${root}/bench/baselines/BENCH_snm.json" \
-  --metric=counters/snm.comparisons --max-regress-pct=0
+# The deterministic work counts of seed 42 are gated exactly: two
+# one-sided 0% checks, baseline and fresh swapped, together require
+# equality. Comparisons (3 repeats x 1,343,358) and distance calls
+# (3 repeats x 2,647,990) are registry counters over all repeats; union
+# pairs (53,967) and entities (22,166) come from the best run.
+for metric in counters/snm.comparisons counters/rules.distance_calls \
+    closure/union_pairs config/entities; do
+  "${root}/build/tools/bench_compare" \
+    --baseline="${root}/bench/baselines/BENCH_snm.json" \
+    --fresh="${root}/BENCH_snm.json" \
+    --metric="${metric}" --max-regress-pct=0
+  "${root}/build/tools/bench_compare" \
+    --baseline="${root}/BENCH_snm.json" \
+    --fresh="${root}/bench/baselines/BENCH_snm.json" \
+    --metric="${metric}" --max-regress-pct=0
+done
 
 echo "ci: plain, asan/ubsan, tsan and lock-discipline gates passed; tidy + rulecheck + obs + service e2e + crash-recovery e2e + coordinator e2e + bench gates validated"

@@ -7,6 +7,11 @@
 //              [--rules=theory.rules]      (rule-language file; default:
 //                                           built-in 26-rule employee theory)
 //              [--clusters=32]             (clustering method only)
+//              [--threads=N]               (window-scan worker threads per
+//                                           sorted-neighborhood pass;
+//                                           default 0 = one per hardware
+//                                           thread, 1 = serial; results
+//                                           are identical for every N)
 //              [--spell-city]              (corpus spell-correct the city)
 //              [--entities=entities.csv]   (tuple -> entity id mapping)
 //              [--report]                  (per-pass statistics)
@@ -87,7 +92,8 @@ constexpr int kExitUsage = 2;
 constexpr const char* kUsage =
     "usage: mergepurge --input=a.csv[,b.csv...] --output=deduped.csv "
     "[--method=snm|cluster] [--window=N] [--keys=...] [--rules=FILE] "
-    "[--clusters=N] [--spell-city] [--entities=FILE] [--report] "
+    "[--clusters=N] [--threads=N] [--spell-city] [--entities=FILE] "
+    "[--report] "
     "[--pairs-out=PREFIX] [--pairs-in=a.mpp,...] [--resume=DIR] "
     "[--faults=SPEC] [--gen=N] [--gen-seed=S] [--metrics-out=FILE.json] "
     "[--trace-out=FILE.json] [--progress] [--log-level=LEVEL] "
@@ -99,7 +105,7 @@ constexpr const char* kKnownFlags[] = {
     "rules",    "clusters", "spell-city", "entities", "report",
     "pairs-out", "pairs-in", "resume",  "faults",   "gen",
     "gen-seed", "metrics-out", "trace-out", "progress", "log-level",
-    "rules-check",
+    "rules-check", "threads",
 };
 
 int Fail(const std::string& message) {
@@ -252,6 +258,12 @@ int main(int argc, char** argv) {
                       args.GetString("window", "") + ")");
   }
   options.window = static_cast<size_t>(window);
+  const int64_t threads = args.GetInt("threads", 0);
+  if (threads < 0 || threads > 1024) {
+    return UsageError("--threads must be in [0, 1024] (got " +
+                      args.GetString("threads", "") + ")");
+  }
+  options.threads = static_cast<size_t>(threads);
   options.spell_correct_city = args.GetBool("spell-city", false);
   options.checkpoint_dir = args.GetString("resume", "");
   std::string method = args.GetString("method", "snm");
